@@ -74,7 +74,7 @@ pub struct FaultPoint {
 ///
 /// Implementations range from trivial (replay a fixed schedule, pick at
 /// random) to full search drivers (the nested depth-first exploration
-/// inside [`crate::search::IcbSearch`]).
+/// inside ICB).
 pub trait Scheduler {
     /// Chooses one of `point.enabled`.
     ///

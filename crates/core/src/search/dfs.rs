@@ -1,560 +1,47 @@
 //! Depth-first baselines: unbounded DFS (`dfs`), depth-bounded DFS
 //! (`db:N`) and iterative depth-bounding (`idfs`), the strategies the
-//! paper compares ICB against (Figures 2, 5 and 6).
+//! paper compares ICB against (Figures 2, 5 and 6). DFS runs as a
+//! [`Tree`] search; iterative deepening repeats depth-bounded passes.
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::Ordering;
 
-use crate::cache::{coverage_credit, ExplorationCache};
-use crate::coverage::StateSink;
-use crate::program::{ControlledProgram, SchedulePoint, Scheduler};
-use crate::search::icb::{validate_branches, CursorSink, ItemCache};
-use crate::search::{
-    execute_recovering, CacheBinding, QuarantinedTrace, SearchConfig, SearchCtx, SearchReport,
-    SearchStrategy,
-};
-use crate::snapshot::{
-    interrupt, BranchSnapshot, Checkpointer, DfsState, ResumeBase, SearchSnapshot, SnapshotError,
-    StrategyState,
-};
-use crate::telemetry::{AbortReason, NoopObserver, SearchObserver};
-use crate::tid::Tid;
-use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
+use crate::program::ControlledProgram;
+use crate::search::driver::{drain, Crew, Node};
+use crate::search::icb::Tree;
+use crate::search::ledger::Ledger;
 
-/// Stateless depth-first search over the schedule tree.
-///
-/// At every scheduling point before the depth bound, the search branches
-/// over *all* enabled threads — preempting freely, which is exactly why it
-/// drowns in shallow interleavings on multithreaded programs (Section 4.2
-/// of the paper). Beyond the depth bound the run is completed under the
-/// default preemption-free policy, but states visited there are not
-/// counted and bugs occurring there are not reported: the depth-bounded
-/// search semantics is "the tree truncated at depth `N`".
-#[derive(Clone, Debug, Default)]
-pub struct DfsSearch {
-    config: SearchConfig,
-    depth_bound: Option<usize>,
-}
-
-impl DfsSearch {
-    /// Unbounded depth-first search (the paper's `dfs`).
-    pub fn new(config: SearchConfig) -> Self {
-        DfsSearch {
-            config,
-            depth_bound: None,
-        }
-    }
-
-    /// Depth-first search truncated at `bound` steps (the paper's
-    /// `db:N`).
-    pub fn with_depth_bound(config: SearchConfig, bound: usize) -> Self {
-        DfsSearch {
-            config,
-            depth_bound: Some(bound),
-        }
-    }
-
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver, None, Vec::new(), None, None)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, Vec::new(), None, None)
-    }
-
-    /// Runs the search with periodic checkpointing (see
-    /// [`IcbSearch::run_checkpointed`](crate::search::IcbSearch::run_checkpointed)
-    /// for the contract).
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).observer(obs).checkpoint(ck).run()"
-    )]
-    pub fn run_checkpointed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-        ckpt: &mut Checkpointer,
-    ) -> SearchReport {
-        self.drive(program, observer, Some(ckpt), Vec::new(), None, None)
-    }
-
-    /// Resumes a search from a checkpoint written by
-    /// [`run_checkpointed`](DfsSearch::run_checkpointed); the final
-    /// report matches the uninterrupted run's.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).resume_from(snapshot).run()"
-    )]
-    pub fn resume(
-        program: &dyn ControlledProgram,
-        snapshot: SearchSnapshot,
-        observer: &mut dyn SearchObserver,
-        ckpt: Option<&mut Checkpointer>,
-    ) -> Result<SearchReport, SnapshotError> {
-        let state = match snapshot.state {
-            StrategyState::Dfs(state) => state,
-            _ => {
-                return Err(SnapshotError::WrongStrategy {
-                    expected: "dfs".to_string(),
-                    found: snapshot.strategy,
-                })
-            }
-        };
-        validate_branches(&state.stack)?;
-        let search = match state.depth_bound {
-            Some(b) => DfsSearch::with_depth_bound(snapshot.config, b),
-            None => DfsSearch::new(snapshot.config),
-        };
-        let stack = state.stack.into_iter().map(Branch::from).collect();
-        Ok(search.drive(program, observer, ckpt, stack, Some(snapshot.base), None))
-    }
-
-    pub(crate) fn drive(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-        mut ckpt: Option<&mut Checkpointer>,
-        initial_stack: Vec<Branch>,
-        base: Option<ResumeBase>,
-        cache: Option<CacheBinding<'_>>,
-    ) -> SearchReport {
-        observer.search_started(&self.name());
-        let mut ctx = SearchCtx::new(self.config.clone(), observer);
-        if let Some(base) = base {
-            let executions = base.executions;
-            ctx.restore(base, 0, executions);
-            if let Some(ck) = ckpt.as_deref_mut() {
-                ck.mark_written(ctx.executions);
-            }
-            if ctx.remaining_budget() == 0 {
-                ctx.halt(AbortReason::ExecutionBudget);
-            }
-        }
-        if let Some(binding) = &cache {
-            ctx.attach_cache(binding.heuristic);
-            ctx.seed_coverage(&binding.cache.seed_states());
-        }
-        let completed = if ctx.stop {
-            false
-        } else {
-            run_dfs(
-                program,
-                self.depth_bound,
-                &mut ctx,
-                &mut None,
-                initial_stack,
-                &mut ckpt,
-                &self.name(),
-                cache.as_ref().map(|b| b.cache),
-            )
-        };
-        if completed {
-            if let Some(ck) = ckpt {
-                ck.finish();
-            }
-        }
-        ctx.into_report(self.name(), completed, None, Vec::new(), false)
-    }
-
-    /// Returns the depth bound, if any.
-    pub fn depth_bound(&self) -> Option<usize> {
-        self.depth_bound
-    }
-}
-
-impl SearchStrategy for DfsSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, Vec::new(), None, None)
-    }
-
-    fn name(&self) -> String {
-        match self.depth_bound {
-            Some(b) => format!("db:{b}"),
-            None => "dfs".to_string(),
-        }
-    }
-}
-
-/// Iterative depth-bounding (the paper's `idfs`): repeat depth-bounded
-/// DFS with bounds `start, start + step, …` up to `max`, sharing one
-/// coverage set and execution budget.
-///
-/// The iteration stops early once a bound exceeds the longest execution
-/// seen (deepening further cannot reach new states) or the budget runs
-/// out.
-#[derive(Clone, Debug)]
-pub struct IterativeDeepeningSearch {
-    config: SearchConfig,
-    start: usize,
-    step: usize,
-    max: usize,
-}
-
-impl IterativeDeepeningSearch {
-    /// Creates an iterative-deepening search with bounds
-    /// `start, start + step, …, ≤ max`.
-    pub fn new(config: SearchConfig, start: usize, step: usize, max: usize) -> Self {
-        assert!(step > 0, "deepening step must be positive");
-        IterativeDeepeningSearch {
-            config,
-            start,
-            step,
-            max,
-        }
-    }
-
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::IterativeDeepening { .. }).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::IterativeDeepening { .. }).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
-    }
-
-    pub(crate) fn drive(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        observer.search_started(&self.name());
-        let mut ctx = SearchCtx::new(self.config.clone(), observer);
-        let mut completed = false;
-        let mut bound = self.start;
-        loop {
-            let mut max_len: Option<usize> = Some(0);
-            let exhausted = run_dfs(
-                program,
-                Some(bound),
-                &mut ctx,
-                &mut max_len,
-                Vec::new(),
-                &mut None,
-                "idfs",
-                None,
-            );
-            if ctx.stop {
-                break;
-            }
-            if exhausted && max_len.unwrap_or(usize::MAX) <= bound {
-                // No execution was truncated: the full space is explored.
-                completed = true;
-                break;
-            }
-            if bound >= self.max {
-                break;
-            }
-            bound = (bound + self.step).min(self.max);
-        }
-        ctx.into_report(self.name(), completed, None, Vec::new(), false)
-    }
-}
-
-impl SearchStrategy for IterativeDeepeningSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
-    }
-
-    fn name(&self) -> String {
-        format!("idfs-{}", self.max)
-    }
-}
-
-/// Shared DFS engine. Returns `true` if the (possibly depth-bounded)
-/// branch tree was exhausted. When `track_max_len` is `Some`, the longest
-/// observed execution length is written into it. A non-empty
-/// `initial_stack` continues a checkpointed search at the next
-/// unexplored schedule; `ckpt`, when present, receives periodic and
-/// final snapshots labelled `strategy_label`.
-#[allow(clippy::too_many_arguments)]
-fn run_dfs(
-    program: &dyn ControlledProgram,
-    depth_bound: Option<usize>,
-    ctx: &mut SearchCtx<'_>,
-    track_max_len: &mut Option<usize>,
-    initial_stack: Vec<Branch>,
-    ckpt: &mut Option<&mut Checkpointer>,
-    strategy_label: &str,
-    cache: Option<&dyn ExplorationCache>,
+/// Iterative depth-bounding (the paper's `idfs`): depth-bounded passes
+/// at bounds `start, start + step, …` up to `max`, sharing one ledger
+/// and execution budget. Stops early once a pass truncated no execution
+/// (deepening further cannot reach new states). Returns whether the
+/// full space was explored.
+pub(crate) fn run_idfs(
+    program: &(dyn ControlledProgram + Sync),
+    (start, step, max): (usize, usize, usize),
+    ledger: &mut Ledger<'_>,
+    crew: &Crew,
 ) -> bool {
-    let bound = depth_bound.unwrap_or(usize::MAX);
-    // Sound only for *unbounded* DFS (a depth-bounded subtree is explored
-    // truncated, which covers nothing); the session builder enforces it.
-    debug_assert!(
-        cache.is_none() || depth_bound.is_none(),
-        "fingerprint cache is unsound under a depth bound"
-    );
-    let state_cursor = Rc::new(Cell::new(0u64));
-    let mut stack = initial_stack;
+    let mut bound = start;
     loop {
-        let mut sched = DfsScheduler {
-            stack,
-            cursor: 0,
-            path: Schedule::new(),
-            bound,
-            cache: cache.map(|cache| ItemCache {
-                cache,
-                state: Rc::clone(&state_cursor),
-                // DFS explores each recorded subtree schedule-exhaustively.
-                credit: coverage_credit(0, None),
-                // DFS never defers fault items (faults are ICB-only).
-                fault_credit: None,
-                hits: 0,
-                stores: 0,
-            }),
-            coast: false,
-        };
-        ctx.begin_execution();
-        let result = if let Some(cache) = cache {
-            state_cursor.set(0);
-            let mut gated = GatedSink {
-                inner: &mut ctx.coverage,
-                remaining: bound,
-            };
-            let mut sink = CursorSink {
-                inner: &mut gated,
-                state: &state_cursor,
-                cache,
-            };
-            execute_recovering(program, &mut sched, &mut sink, ctx.observer)
-        } else {
-            let mut sink = GatedSink {
-                inner: &mut ctx.coverage,
-                remaining: bound,
-            };
-            execute_recovering(program, &mut sched, &mut sink, ctx.observer)
-        };
-        stack = sched.stack;
-        if let Some(c) = sched.cache.take() {
-            ctx.cache_hit(c.hits);
-            ctx.cache_store(c.stores);
-        }
-
-        if let Some(m) = track_max_len {
-            *m = (*m).max(result.stats.steps);
-        }
-
-        if let ExecutionOutcome::ReplayDivergence {
-            step,
-            expected,
-            ref actual,
-        } = result.outcome
-        {
-            ctx.quarantine(QuarantinedTrace {
-                schedule: sched.path,
-                step,
-                expected,
-                actual: actual.clone(),
-            });
-        }
-
-        // Within the depth bound the result stands; beyond it the run is
-        // an artifact of the completion policy — downgrade any bug.
-        let effective = if result.stats.steps <= bound || !result.outcome.is_bug() {
-            result
-        } else {
-            let mut r = result;
-            r.outcome = ExecutionOutcome::Terminated;
-            r
-        };
-        ctx.record(&effective, program.executions_per_run());
-
-        // Backtrack before checkpointing, so a resumed run starts at the
-        // next unexplored schedule instead of repeating the last one.
-        let done = loop {
-            match stack.last_mut() {
-                Some(top) if top.next_ix + 1 < top.options.len() => {
-                    top.next_ix += 1;
-                    break false;
-                }
-                Some(_) => {
-                    stack.pop();
-                }
-                None => break true,
-            }
-        };
-
-        if ckpt.is_some() && interrupt::interrupted() {
-            ctx.halt(AbortReason::Interrupted);
-        }
-        let due = ckpt.as_deref().is_some_and(|ck| ck.due(ctx.executions));
-        if !done && (due || (ctx.stop && ckpt.is_some())) {
-            write_dfs_checkpoint(ctx, ckpt, strategy_label, depth_bound, &stack);
-        }
-        if done {
-            return true;
-        }
-        if ctx.stop {
+        let pass = Tree::dfs(program, Some(bound), None);
+        let leftover = drain(&pass, vec![(Node::default(), false)], ledger, crew);
+        if ledger.stop {
             return false;
         }
-    }
-}
-
-fn write_dfs_checkpoint(
-    ctx: &mut SearchCtx<'_>,
-    ckpt: &mut Option<&mut Checkpointer>,
-    strategy_label: &str,
-    depth_bound: Option<usize>,
-    stack: &[Branch],
-) {
-    let Some(ck) = ckpt.as_deref_mut() else {
-        return;
-    };
-    let base = ctx.snapshot_base();
-    let executions = base.executions;
-    let snapshot = SearchSnapshot {
-        strategy: strategy_label.to_string(),
-        meta: ck.meta().to_vec(),
-        config: ctx.config.clone(),
-        base,
-        state: StrategyState::Dfs(DfsState {
-            depth_bound,
-            stack: stack.iter().map(Branch::to_snapshot).collect(),
-        }),
-    };
-    match ck.write(&snapshot) {
-        Ok(()) => ctx.observer.checkpoint_written(executions),
-        Err(e) => eprintln!("warning: checkpoint write failed: {e}"),
-    }
-}
-
-#[derive(Clone, Debug)]
-pub(crate) struct Branch {
-    pub(crate) options: Vec<Tid>,
-    pub(crate) next_ix: usize,
-}
-
-impl Branch {
-    pub(crate) fn to_snapshot(&self) -> BranchSnapshot {
-        BranchSnapshot {
-            step: 0,
-            options: self.options.clone(),
-            next_ix: self.next_ix,
+        if leftover.is_empty() && pass.longest.load(Ordering::Relaxed) <= bound {
+            return true;
         }
-    }
-}
-
-impl From<BranchSnapshot> for Branch {
-    fn from(b: BranchSnapshot) -> Self {
-        Branch {
-            options: b.options,
-            next_ix: b.next_ix,
+        if bound >= max {
+            return false;
         }
-    }
-}
-
-struct DfsScheduler<'a> {
-    stack: Vec<Branch>,
-    cursor: usize,
-    /// Full schedule chosen so far in this run, for quarantine reports.
-    path: Schedule,
-    bound: usize,
-    /// Fingerprint-cache probing at fresh branch points; `None` branches
-    /// over every enabled thread (the legacy behavior).
-    cache: Option<ItemCache<'a>>,
-    /// Set once a fresh branch point found *all* its subtrees covered:
-    /// the rest of the run completes under the default policy without
-    /// pushing further branches (they would all lie inside covered
-    /// subtrees).
-    coast: bool,
-}
-
-impl Scheduler for DfsScheduler<'_> {
-    fn pick(&mut self, point: SchedulePoint<'_>) -> Tid {
-        if point.step_index >= self.bound || self.coast {
-            // Truncated region (or coasting out of a fully covered
-            // branch point): complete the run without branching.
-            let choice = point.default_choice();
-            self.path.push(choice);
-            return choice;
-        }
-        let choice = if self.cursor < self.stack.len() {
-            let b = &self.stack[self.cursor];
-            let tid = b.options[b.next_ix];
-            if !point.is_enabled(tid) {
-                // The program is not deterministic: a previously recorded
-                // branch option is no longer enabled.
-                DivergencePayload::new(point.step_index, tid, point.enabled.to_vec()).raise();
-            }
-            self.cursor += 1;
-            tid
-        } else {
-            let mut options = point.enabled.to_vec();
-            if let Some(cache) = &mut self.cache {
-                // Keep only the options whose subtrees are not already
-                // covered from the current state.
-                options.retain(|&t| !cache.covered(t));
-                if options.is_empty() {
-                    self.coast = true;
-                    let choice = point.default_choice();
-                    self.path.push(choice);
-                    return choice;
-                }
-            }
-            self.stack.push(Branch {
-                options,
-                next_ix: 0,
-            });
-            self.cursor += 1;
-            let b = self.stack.last().expect("branch just pushed");
-            b.options[0]
-        };
-        self.path.push(choice);
-        choice
-    }
-}
-
-/// Forwards at most `remaining` fingerprints, dropping the rest — states
-/// past the depth bound do not count as covered.
-pub(crate) struct GatedSink<'a, S: StateSink> {
-    pub(crate) inner: &'a mut S,
-    pub(crate) remaining: usize,
-}
-
-impl<S: StateSink> StateSink for GatedSink<'_, S> {
-    fn visit(&mut self, fingerprint: u64) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            self.inner.visit(fingerprint);
-        }
+        bound = (bound + step).min(max);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::search::testprog::{schedule_count, Counters};
+    use crate::search::SearchConfig;
     use crate::search::{Search, Strategy};
 
     #[test]
@@ -710,13 +197,15 @@ mod tests {
 
     #[test]
     fn strategy_names() {
-        assert_eq!(DfsSearch::new(SearchConfig::default()).name(), "dfs");
+        assert_eq!(Strategy::Dfs.label(), "dfs");
+        assert_eq!(Strategy::DepthBounded(40).label(), "db:40");
         assert_eq!(
-            DfsSearch::with_depth_bound(SearchConfig::default(), 40).name(),
-            "db:40"
-        );
-        assert_eq!(
-            IterativeDeepeningSearch::new(SearchConfig::default(), 10, 10, 100).name(),
+            Strategy::IterativeDeepening {
+                start: 10,
+                step: 10,
+                max: 100
+            }
+            .label(),
             "idfs-100"
         );
     }

@@ -1,46 +1,40 @@
 //! Systematic search strategies over the schedule tree of a
-//! [`ControlledProgram`] implementation.
+//! [`ControlledProgram`](crate::program::ControlledProgram), run through
+//! one builder, [`Search`]:
 //!
-//! [`ControlledProgram`]: crate::program::ControlledProgram
-//!
-//! * [`IcbSearch`] — **iterative context bounding**, the paper's
-//!   Algorithm 1 in its stateless (replay-based) form: all executions with
-//!   `i` preemptions are explored before any execution with `i + 1`.
-//! * [`DfsSearch`] — depth-first enumeration of all schedules, optionally
-//!   depth-bounded (the paper's `dfs` and `db:N` baselines).
-//! * [`IterativeDeepeningSearch`] — iterative depth-bounding (`idfs`).
-//! * [`RandomSearch`] — uniform random walk (`random`).
-//! * [`BestFirstSearch`] — the Groce–Visser "more enabled threads"
+//! * [`Strategy::Icb`] — **iterative context bounding**, the paper's
+//!   Algorithm 1 in its stateless (replay-based) form: all executions
+//!   with `i` preemptions are explored before any execution with
+//!   `i + 1`.
+//! * [`Strategy::Dfs`] / [`Strategy::DepthBounded`] — depth-first
+//!   enumeration of all schedules, optionally depth-bounded (the
+//!   paper's `dfs` and `db:N` baselines).
+//! * [`Strategy::IterativeDeepening`] — iterative depth-bounding
+//!   (`idfs`).
+//! * [`Strategy::Random`] — seeded uniform random walks (`random`).
+//! * [`Strategy::BestFirst`] — the Groce–Visser "more enabled threads"
 //!   heuristic from the paper's related work.
 //!
-//! All strategies share [`SearchConfig`] / [`SearchReport`] and implement
-//! the object-safe [`SearchStrategy`] trait so the benchmark harness can
-//! treat them uniformly.
+//! ICB, DFS and random plug into one driver (`driver`): one worker
+//! loop, one frontier and one ledger, run inline at `jobs = 1` and on a
+//! worker pool at `jobs ≥ 2`.
 
 mod bestfirst;
 mod dfs;
+mod driver;
 pub mod frontier;
 mod icb;
-mod parallel;
+mod ledger;
 mod random;
 mod session;
 
-pub use bestfirst::BestFirstSearch;
-pub use dfs::{DfsSearch, IterativeDeepeningSearch};
 pub use frontier::Frontier;
-pub use icb::IcbSearch;
-pub use random::RandomSearch;
 pub use session::{Search, SearchError, Strategy};
 
 use crate::cache::ExplorationCache;
-use crate::coverage::{CoverageTracker, StateSink};
-use crate::program::{ControlledProgram, Scheduler};
-use crate::snapshot::ResumeBase;
-use crate::telemetry::{AbortReason, ChoiceKind, NoopObserver, ResumeInfo, SearchObserver, SiteId};
+use crate::telemetry::{ChoiceKind, SiteId};
 use crate::tid::Tid;
-use crate::trace::{
-    DivergencePayload, ExecStats, ExecutionOutcome, ExecutionResult, Schedule, Trace,
-};
+use crate::trace::{ExecStats, ExecutionOutcome, ExecutionResult, Schedule};
 
 /// Limits and options common to all search strategies.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,11 +42,11 @@ pub struct SearchConfig {
     /// Stop after this many executions (`None` = unlimited; prefer a
     /// limit for programs whose schedule space you have not measured).
     pub max_executions: Option<usize>,
-    /// For [`IcbSearch`]: stop after *completing* this preemption bound.
+    /// For ICB: stop after *completing* this preemption bound.
     /// `None` iterates until the space is exhausted or another limit
     /// triggers.
     pub preemption_bound: Option<usize>,
-    /// For [`IcbSearch`]: the iterative *fault bound* `f`, composing
+    /// For ICB: the iterative *fault bound* `f`, composing
     /// lexicographically with the preemption bound `c` — levels are
     /// explored in the order `(0,0), (0,1), …, (0,f), (1,0), …`, so the
     /// first bug found carries a minimum-`(preemptions, faults)`
@@ -64,14 +58,14 @@ pub struct SearchConfig {
     /// Keep at most this many bug reports (further buggy executions are
     /// still counted in [`SearchReport::buggy_executions`]).
     pub max_bug_reports: usize,
-    /// Hard cap on the deferred work queue of [`IcbSearch`]; exceeding it
+    /// Hard cap on the deferred work queue of ICB; exceeding it
     /// sets [`SearchReport::truncated`]. `None` = unbounded.
     pub max_work_queue: Option<usize>,
     /// Wall-clock budget: the search stops (incomplete) after this long.
     /// `None` = unlimited.
     pub max_duration: Option<std::time::Duration>,
     /// Growth-curve sampling stride: one coverage-curve point per this
-    /// many executions (see [`CoverageTracker::with_stride`]). The
+    /// many executions (see [`CoverageTracker::with_stride`](crate::coverage::CoverageTracker::with_stride)). The
     /// default of 1 keeps the legacy point-per-execution curve; raise it
     /// so million-execution runs don't hold a point per execution. 0 is
     /// treated as 1.
@@ -119,7 +113,7 @@ pub struct BugReport {
     /// The complete schedule of the failing execution — replay it with
     /// [`crate::ReplayScheduler`] to reproduce the bug deterministically.
     pub schedule: Schedule,
-    /// Number of preemptions in the failing execution. For [`IcbSearch`]
+    /// Number of preemptions in the failing execution. For ICB
     /// the first report's value is *minimal* over all failing executions
     /// (lexicographically in `(preemptions, faults)` when a fault bound
     /// is set).
@@ -153,7 +147,7 @@ pub struct QuarantinedTrace {
     pub actual: Vec<Tid>,
 }
 
-/// Statistics for one completed preemption bound of [`IcbSearch`] — or,
+/// Statistics for one completed preemption bound of ICB — or,
 /// when a fault bound is set, one `(preemption, fault)` level of the
 /// lexicographic grid (one row per level, identified by
 /// `(bound, faults)`).
@@ -223,9 +217,9 @@ pub struct SearchReport {
     pub buggy_executions: usize,
     /// `true` if the schedule space was exhausted within the limits.
     pub completed: bool,
-    /// Highest preemption bound fully explored ([`IcbSearch`] only).
+    /// Highest preemption bound fully explored (ICB only).
     pub completed_bound: Option<usize>,
-    /// Per-bound statistics ([`IcbSearch`] only).
+    /// Per-bound statistics (ICB only).
     pub bound_history: Vec<BoundStats>,
     /// Pointwise maxima of the per-execution statistics (Table 1).
     pub max_stats: ExecStats,
@@ -252,8 +246,8 @@ impl SearchReport {
         self.bugs.first()
     }
 
-    /// The per-bound statistics ([`IcbSearch`] only) — the rows streamed
-    /// through [`SearchObserver::bound_completed`] during the search.
+    /// The per-bound statistics (ICB only) — the rows streamed
+    /// through [`SearchObserver::bound_completed`](crate::telemetry::SearchObserver::bound_completed) during the search.
     pub fn bound_stats(&self) -> &[BoundStats] {
         &self.bound_history
     }
@@ -322,32 +316,6 @@ impl std::fmt::Display for SearchReport {
     }
 }
 
-/// Object-safe interface over all search strategies.
-pub trait SearchStrategy {
-    /// Runs the search against `program`, streaming telemetry events to
-    /// `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(..).observer(obs).run()"
-    )]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport;
-
-    /// Runs the search without telemetry (a [`NoopObserver`]).
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(..).run()"
-    )]
-    fn search(&self, program: &dyn ControlledProgram) -> SearchReport {
-        #[allow(deprecated)]
-        self.search_observed(program, &mut NoopObserver)
-    }
-
-    /// Short label for reports and plots (`icb`, `dfs`, `db:40`, …).
-    fn name(&self) -> String;
-}
-
 /// A fingerprint cache attached to one search run, resolved by the
 /// session builder: the cache itself plus the exactness of the
 /// program's fingerprints (heuristic pruning makes the run
@@ -358,293 +326,11 @@ pub(crate) struct CacheBinding<'c> {
     pub(crate) heuristic: bool,
 }
 
-impl std::fmt::Debug for CacheBinding<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheBinding")
-            .field("heuristic", &self.heuristic)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Shared bookkeeping: budget, coverage, bug collection, telemetry.
-pub(crate) struct SearchCtx<'o> {
-    pub(crate) config: SearchConfig,
-    pub(crate) started: std::time::Instant,
-    pub(crate) coverage: CoverageTracker,
-    pub(crate) executions: usize,
-    pub(crate) bugs: Vec<BugReport>,
-    pub(crate) buggy_executions: usize,
-    pub(crate) max_stats: ExecStats,
-    pub(crate) stop: bool,
-    pub(crate) abort: Option<AbortReason>,
-    /// The preemption bound the strategy is currently exploring, used to
-    /// attribute `choice_point` events. Strategies without bounds leave
-    /// it at 0.
-    pub(crate) current_bound: usize,
-    pub(crate) quarantined: Vec<QuarantinedTrace>,
-    pub(crate) quarantined_total: usize,
-    pub(crate) watchdog_trips: usize,
-    /// Cache accounting; `Some` only when the driver attached a cache
-    /// (the summary's `heuristic` flag is fixed at attach time, the
-    /// counters accumulate during the search).
-    pub(crate) cache: Option<CacheSummary>,
-    pub(crate) observer: &'o mut dyn SearchObserver,
-}
-
-impl<'o> SearchCtx<'o> {
-    pub(crate) fn new(config: SearchConfig, observer: &'o mut dyn SearchObserver) -> Self {
-        let stride = config.coverage_stride;
-        SearchCtx {
-            config,
-            started: std::time::Instant::now(),
-            coverage: CoverageTracker::new().with_stride(stride),
-            executions: 0,
-            bugs: Vec::new(),
-            buggy_executions: 0,
-            max_stats: ExecStats::default(),
-            stop: false,
-            abort: None,
-            current_bound: 0,
-            quarantined: Vec::new(),
-            quarantined_total: 0,
-            watchdog_trips: 0,
-            cache: None,
-            observer,
-        }
-    }
-
-    /// Attaches cache accounting to the context: the report will carry a
-    /// [`CacheSummary`] with the given exactness flag.
-    pub(crate) fn attach_cache(&mut self, heuristic: bool) {
-        self.cache = Some(CacheSummary {
-            heuristic,
-            ..CacheSummary::default()
-        });
-    }
-
-    /// Counts one cache hit (a pruned work item) and tells the observer.
-    pub(crate) fn cache_hit(&mut self, count: usize) {
-        if count == 0 {
-            return;
-        }
-        if let Some(cache) = &mut self.cache {
-            cache.hits += count;
-        }
-        self.observer.cache_hit(count);
-    }
-
-    /// Seeds the coverage tracker with state fingerprints inherited from
-    /// previous runs (see [`ExplorationCache::seed_states`]), so a warm
-    /// run's *final* coverage matches the cold run it prunes parts of.
-    pub(crate) fn seed_coverage(&mut self, states: &[u64]) {
-        for &fp in states {
-            self.coverage.visit(fp);
-        }
-    }
-
-    /// Counts one cache store (a newly recorded subtree) and tells the
-    /// observer.
-    pub(crate) fn cache_store(&mut self, count: usize) {
-        if count == 0 {
-            return;
-        }
-        if let Some(cache) = &mut self.cache {
-            cache.stores += count;
-        }
-        self.observer.cache_store(count);
-    }
-
-    /// Seeds the context's cumulative counters, coverage and findings
-    /// from a checkpoint, then announces the resume to the observer.
-    /// `bound_executions` is the number of executions already spent at
-    /// the bound being resumed (0 for unbounded strategies).
-    pub(crate) fn restore(&mut self, base: ResumeBase, bound: usize, bound_executions: usize) {
-        self.executions = base.executions;
-        self.buggy_executions = base.buggy_executions;
-        self.bugs = base.bugs;
-        self.max_stats = base.max_stats;
-        self.quarantined = base.quarantined;
-        self.quarantined_total = base.quarantined_total;
-        self.watchdog_trips = base.watchdog_trips;
-        self.coverage = CoverageTracker::restore(
-            base.coverage_states,
-            base.coverage_executions,
-            base.coverage_curve,
-        )
-        .with_stride(self.config.coverage_stride);
-        self.current_bound = bound;
-        let info = ResumeInfo {
-            executions: self.executions,
-            distinct_states: self.coverage.distinct_states(),
-            bound,
-            bound_executions,
-        };
-        self.observer.search_resumed(&info);
-    }
-
-    /// Extracts the cumulative counters, coverage and findings into the
-    /// strategy-independent half of a checkpoint.
-    pub(crate) fn snapshot_base(&self) -> ResumeBase {
-        ResumeBase {
-            executions: self.executions,
-            buggy_executions: self.buggy_executions,
-            bugs: self.bugs.clone(),
-            max_stats: self.max_stats,
-            quarantined: self.quarantined.clone(),
-            quarantined_total: self.quarantined_total,
-            watchdog_trips: self.watchdog_trips,
-            coverage_states: self.coverage.state_hashes(),
-            coverage_executions: self.coverage.executions(),
-            coverage_curve: self.coverage.curve().to_vec(),
-            truncated: false,
-        }
-    }
-
-    /// Quarantines a diverging schedule prefix: counts it, keeps a
-    /// capped list for the report, and notifies the observer. The
-    /// search forfeits the prefix's subtree and keeps going.
-    pub(crate) fn quarantine(&mut self, q: QuarantinedTrace) {
-        self.quarantined_total += 1;
-        self.observer.trace_quarantined(&q);
-        if self.quarantined.len() < self.config.max_bug_reports {
-            self.quarantined.push(q);
-        }
-    }
-
-    /// Remaining execution budget, `usize::MAX` if unlimited.
-    pub(crate) fn remaining_budget(&self) -> usize {
-        match self.config.max_executions {
-            Some(max) => max.saturating_sub(self.executions),
-            None => usize::MAX,
-        }
-    }
-
-    /// Announces the next execution to the observer. Call immediately
-    /// before `execute`; every call must be paired with one `record`.
-    pub(crate) fn begin_execution(&mut self) {
-        self.observer.execution_started(self.executions + 1);
-    }
-
-    /// Stops the search, reporting the (first) reason to the observer.
-    pub(crate) fn halt(&mut self, reason: AbortReason) {
-        if !self.stop {
-            self.stop = true;
-            self.abort = Some(reason);
-            self.observer.search_aborted(reason);
-        }
-    }
-
-    /// Whether the wall-clock budget is exhausted.
-    pub(crate) fn over_deadline(&self) -> bool {
-        self.config
-            .max_duration
-            .is_some_and(|limit| self.started.elapsed() >= limit)
-    }
-
-    /// Streams the attributed per-decision events of a finished
-    /// execution — one `choice_point` per trace entry, plus a
-    /// `preemption_taken` charged to the victim's most recent operation.
-    /// One batched pass, entered only when an observer asked for it, so
-    /// the hot path of an unprofiled search is a single branch.
-    fn emit_choice_points(&mut self, result: &ExecutionResult) {
-        for ev in choice_events(result) {
-            self.observer
-                .choice_point(ev.site, self.current_bound, ev.kind);
-            if let Some(victim) = ev.victim {
-                self.observer.preemption_taken(victim);
-            }
-        }
-    }
-
-    /// Records a finished execution; sets `stop` when a limit is hit.
-    pub(crate) fn record(&mut self, result: &ExecutionResult, cost: usize) {
-        self.executions += cost;
-        self.coverage.end_execution();
-        self.max_stats = self.max_stats.max(result.stats);
-        if self.observer.wants_choice_points() {
-            self.emit_choice_points(result);
-        }
-        if result.stats.faults > 0 {
-            for (site, step) in fault_events(result) {
-                self.observer.fault_injected(site, step);
-            }
-        }
-        self.observer.execution_finished(
-            self.executions,
-            &result.stats,
-            &result.outcome,
-            self.coverage.distinct_states(),
-        );
-        if result.outcome == ExecutionOutcome::WatchdogTimeout {
-            self.watchdog_trips += 1;
-        }
-        if result.outcome.is_bug() {
-            self.buggy_executions += 1;
-            if self.bugs.len() < self.config.max_bug_reports {
-                let bug = BugReport {
-                    outcome: result.outcome.clone(),
-                    schedule: result.trace.schedule(),
-                    preemptions: result.stats.preemptions,
-                    faults: result.stats.faults,
-                    execution_index: self.executions,
-                    steps: result.stats.steps,
-                };
-                self.observer.bug_found(&bug);
-                self.bugs.push(bug);
-            }
-            if self.config.stop_on_first_bug {
-                self.halt(AbortReason::FirstBug);
-            }
-        }
-        if self.remaining_budget() == 0 {
-            self.halt(AbortReason::ExecutionBudget);
-        }
-        if self.over_deadline() {
-            self.halt(AbortReason::Timeout);
-        }
-    }
-
-    /// Converts the context into a report (emitting `search_finished`).
-    /// `completed` must reflect whether the strategy exhausted its
-    /// search space. A timed-out search is additionally marked truncated
-    /// so it is distinguishable from an exhausted one.
-    pub(crate) fn into_report(
-        mut self,
-        strategy: String,
-        completed: bool,
-        completed_bound: Option<usize>,
-        bound_history: Vec<BoundStats>,
-        truncated: bool,
-    ) -> SearchReport {
-        let coverage = std::mem::take(&mut self.coverage);
-        let report = SearchReport {
-            strategy,
-            executions: self.executions,
-            distinct_states: coverage.distinct_states(),
-            coverage_curve: coverage.into_curve(),
-            bugs: std::mem::take(&mut self.bugs),
-            buggy_executions: self.buggy_executions,
-            completed,
-            completed_bound,
-            bound_history,
-            max_stats: self.max_stats,
-            truncated: truncated || self.abort == Some(AbortReason::Timeout),
-            quarantined: std::mem::take(&mut self.quarantined),
-            quarantined_total: self.quarantined_total,
-            watchdog_trips: self.watchdog_trips,
-            cache: self.cache.take(),
-        };
-        self.observer.search_finished(&report);
-        report
-    }
-}
-
 /// One attributed scheduling decision of a finished execution, extracted
 /// from its trace: the site, the decision kind, and — for preemptions —
 /// the victim's most recent site (`entry.current == entries[i-1].chosen`,
 /// so the previous entry's site is the last op the preempted thread
-/// executed). Shared by the sequential [`SearchCtx`] and the parallel
-/// event pump so both attribute identically.
+/// executed).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChoiceEvent {
     pub(crate) site: SiteId,
@@ -653,8 +339,7 @@ pub(crate) struct ChoiceEvent {
 }
 
 /// The injected faults of a finished execution, as `(site, step)` pairs
-/// in step order. Shared by the sequential [`SearchCtx`] and the
-/// parallel event pump so both attribute identically.
+/// in step order.
 pub(crate) fn fault_events(result: &ExecutionResult) -> Vec<(SiteId, usize)> {
     result
         .trace
@@ -690,33 +375,6 @@ pub(crate) fn choice_events(result: &ExecutionResult) -> Vec<ChoiceEvent> {
             }
         })
         .collect()
-}
-
-/// Runs one execution, converting a [`DivergencePayload`] unwind coming
-/// out of an *in-process* program host (the state VM, test programs)
-/// into a recoverable [`ExecutionOutcome::ReplayDivergence`] result. The
-/// threaded runtime catches the payload inside its engine and returns
-/// the same outcome with the partial trace attached; either way the
-/// strategies see divergence as an outcome, never as a panic. Any other
-/// payload is a genuine panic and is re-raised.
-pub(crate) fn execute_recovering(
-    program: &dyn ControlledProgram,
-    scheduler: &mut dyn Scheduler,
-    coverage: &mut dyn StateSink,
-    observer: &mut dyn SearchObserver,
-) -> ExecutionResult {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        program.execute_observed(scheduler, coverage, observer)
-    }));
-    match run {
-        Ok(result) => result,
-        Err(payload) => match payload.downcast::<DivergencePayload>() {
-            // The host's trace died with the unwind; the quarantine
-            // entry (recorded by the caller) identifies the subtree.
-            Ok(d) => ExecutionResult::from_trace(d.into_outcome(), Trace::new()),
-            Err(other) => std::panic::resume_unwind(other),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -884,6 +542,7 @@ pub(crate) mod testprog {
 mod config_tests {
     use super::*;
     use crate::search::testprog::Counters;
+    use crate::telemetry::SearchObserver;
 
     #[test]
     fn display_summarizes_reports() {
@@ -1016,25 +675,5 @@ mod config_tests {
             .run()
             .unwrap();
         assert_eq!(obs.attributed, 0, "gate defaults to off");
-    }
-
-    #[test]
-    fn zero_duration_budget_stops_after_one_execution() {
-        let p = Counters {
-            n: 3,
-            k: 3,
-            bug: None,
-        };
-        // The builder rejects a zero max_duration up front
-        // (SearchError::ZeroDuration); the deprecated shim still clamps
-        // to one execution, which this regression test pins down.
-        #[allow(deprecated)]
-        let report = IcbSearch::new(SearchConfig {
-            max_duration: Some(std::time::Duration::ZERO),
-            ..SearchConfig::default()
-        })
-        .run(&p);
-        assert_eq!(report.executions, 1);
-        assert!(!report.completed);
     }
 }

@@ -62,7 +62,19 @@ pub fn minimize_witness(program: &dyn ControlledProgram, schedule: &Schedule) ->
 mod tests {
     use super::*;
     use crate::search::testprog::Counters;
-    use crate::search::IcbSearch;
+    use crate::search::{BugReport, Search, SearchConfig};
+
+    /// The first (minimal) bug of a bug hunt.
+    fn minimal_bug(p: &Counters, max_executions: usize) -> Option<BugReport> {
+        let report = Search::over(p)
+            .config(SearchConfig {
+                max_executions: Some(max_executions),
+                ..SearchConfig::bug_hunt()
+            })
+            .run()
+            .unwrap();
+        report.bugs.into_iter().next()
+    }
 
     #[test]
     fn shrinks_to_the_decisive_prefix() {
@@ -74,8 +86,7 @@ mod tests {
             k: 4,
             bug: Some((1, 0, 1)),
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 1_000_000).expect("bug");
+        let bug = minimal_bug(&p, 1_000_000).expect("bug");
         let shrunk = minimize_witness(&p, &bug.schedule);
         assert!(shrunk.schedule.len() <= bug.schedule.len());
         assert_eq!(shrunk.schedule.len(), 2, "decisive prefix is [T0, T1]");
@@ -93,8 +104,7 @@ mod tests {
             k: 2,
             bug: Some((0, 0, 0)), // thread 0's first step sees 0: immediate
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 10_000).expect("bug");
+        let bug = minimal_bug(&p, 10_000).expect("bug");
         let shrunk = minimize_witness(&p, &bug.schedule);
         assert_eq!(shrunk.schedule.len(), 0);
         assert!(shrunk.outcome.is_bug());
@@ -119,8 +129,7 @@ mod tests {
             k: 3,
             bug: Some((1, 0, 1)),
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 100_000).expect("bug");
+        let bug = minimal_bug(&p, 100_000).expect("bug");
         let shrunk = minimize_witness(&p, &bug.schedule);
         assert!(shrunk.replays <= bug.schedule.len() + 1);
     }

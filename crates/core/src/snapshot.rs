@@ -5,7 +5,7 @@
 //! re-running a lost partial work item reproduces it exactly. This
 //! module makes that property durable: [`SearchSnapshot`] captures the
 //! complete state of an interrupted search (remaining work queues,
-//! branch stacks, RNG state, coverage summary and cumulative report
+//! branch stacks, walk ranges, coverage summary and cumulative report
 //! counters) in a versioned, checksummed on-disk format. Snapshots are
 //! written atomically (temp file + rename), so a `SIGKILL` mid-write
 //! leaves the previous checkpoint intact, and a resumed run produces a
@@ -35,7 +35,9 @@ const MAGIC: &[u8; 8] = b"ICBSNAPv";
 /// carry fault sets, `ExecStats`/`BugReport`/`BoundStats` gained fault
 /// counters, and `IcbState` replaced the single `next` queue with the
 /// per-`(preemption, fault)`-level deferred map.
-const VERSION: u32 = 3;
+/// v4: one state per strategy — DFS stores its unexplored items, random
+/// its unexplored walk-index ranges, at any job count.
+const VERSION: u32 = 4;
 /// Fixed header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -54,13 +56,6 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// The payload decodes to structurally invalid data.
     Corrupt(String),
-    /// The snapshot belongs to a different strategy than the caller.
-    WrongStrategy {
-        /// The strategy the caller tried to resume.
-        expected: String,
-        /// The strategy recorded in the snapshot.
-        found: String,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -70,9 +65,11 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => {
                 write!(f, "not a checkpoint file (bad magic)")
             }
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint format version {v}")
-            }
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported checkpoint format version {v} (this build reads version \
+                 {VERSION}); restart the run from scratch"
+            ),
             SnapshotError::Truncated => {
                 write!(f, "checkpoint file is truncated")
             }
@@ -81,12 +78,6 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::Corrupt(what) => {
                 write!(f, "checkpoint file is corrupted ({what})")
-            }
-            SnapshotError::WrongStrategy { expected, found } => {
-                write!(
-                    f,
-                    "checkpoint was written by strategy '{found}', not '{expected}'"
-                )
             }
         }
     }
@@ -165,66 +156,29 @@ pub struct IcbState {
     pub in_progress: Option<(Schedule, Vec<BranchSnapshot>)>,
 }
 
-/// DFS-specific checkpoint state: the branch stack positioned for the
-/// next run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DfsState {
-    /// The depth bound (`db:N`), if any.
-    pub depth_bound: Option<usize>,
-    /// The suspended branch stack.
-    pub stack: Vec<BranchSnapshot>,
-}
-
-/// Random-walk checkpoint state: the generator mid-stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RandomState {
-    /// The raw SplitMix64 state (not the seed: the stream continues).
-    pub rng_state: u64,
-}
-
-/// Parallel DFS checkpoint state: the union of all shard frontiers at a
-/// quiesce point. Each frontier entry is a schedule prefix whose subtree
-/// is entirely unexplored, so the snapshot is resumable at any worker
-/// count.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ParallelDfsState {
-    /// The depth bound (`db:N`), if any.
-    pub depth_bound: Option<usize>,
-    /// Unexplored schedule prefixes (sorted lexicographically so the
-    /// snapshot bytes are independent of worker scheduling).
-    pub frontier: Vec<Schedule>,
-    /// At most one partially explored item inherited from a *sequential*
-    /// checkpoint that no worker had picked up yet: its prefix and
-    /// suspended branch stack.
-    pub pending: Option<(Schedule, Vec<BranchSnapshot>)>,
-}
-
-/// Parallel random-walk checkpoint state. Parallel walks derive one
-/// independent stream per execution index from `seed`, so the only
-/// cursor is the next unclaimed index — resumable at any worker count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParallelRandomState {
-    /// The base seed the per-index streams are derived from.
-    pub seed: u64,
-    /// The next unclaimed execution index (0-based).
-    pub next_index: u64,
-}
-
-/// The strategy-specific half of a checkpoint.
+/// The strategy-specific half of a checkpoint: the unexplored work, in
+/// the same form at every job count.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StrategyState {
-    /// An ICB checkpoint (sequential and parallel runs share this
-    /// layout: a parallel quiesce dissolves in-flight items back into
-    /// plain work-queue prefixes, so either driver can resume it).
+    /// An ICB checkpoint.
     Icb(IcbState),
-    /// A sequential DFS checkpoint.
-    Dfs(DfsState),
-    /// A sequential random-walk checkpoint.
-    Random(RandomState),
-    /// A parallel DFS checkpoint.
-    ParallelDfs(ParallelDfsState),
-    /// A parallel random-walk checkpoint.
-    ParallelRandom(ParallelRandomState),
+    /// A DFS (`dfs` / `db:N`) checkpoint.
+    Dfs {
+        /// The depth bound (`db:N`), if any.
+        depth_bound: Option<usize>,
+        /// Unexplored subtrees: a schedule prefix, with the branch stack
+        /// positioned for the next run once its nested DFS has started.
+        items: Vec<(Schedule, Vec<BranchSnapshot>)>,
+    },
+    /// A random-walk checkpoint. Walk `i` draws from its own stream
+    /// derived from `seed`, so the unexplored walks are plain index
+    /// ranges.
+    Random {
+        /// The seed the per-walk streams are derived from.
+        seed: u64,
+        /// Unexplored walk indices as half-open `(start, end)` ranges.
+        ranges: Vec<(u64, u64)>,
+    },
 }
 
 /// A complete, serializable snapshot of an in-flight search.
@@ -324,11 +278,10 @@ impl SearchSnapshot {
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer { buf: Vec::new() };
         w.str(&self.strategy);
-        w.len(self.meta.len());
-        for (k, v) in &self.meta {
+        w.list(&self.meta, |w, (k, v)| {
             w.str(k);
             w.str(v);
-        }
+        });
         encode_config(&mut w, &self.config);
         encode_base(&mut w, &self.base);
         match &self.state {
@@ -339,56 +292,40 @@ impl SearchSnapshot {
                 w.usize(s.bound_executions_base);
                 w.usize(s.bound_bugs_base);
                 w.opt_usize(s.completed_bound);
-                w.schedules(&s.work);
-                w.len(s.deferred.len());
-                for (c, f, items) in &s.deferred {
+                w.list(&s.work, Writer::schedule);
+                w.list(&s.deferred, |w, (c, f, items)| {
                     w.usize(*c);
                     w.usize(*f);
-                    w.schedules(items);
-                }
-                w.len(s.bound_history.len());
-                for b in &s.bound_history {
-                    w.usize(b.bound);
-                    w.usize(b.faults);
-                    w.usize(b.executions);
-                    w.usize(b.cumulative_states);
-                    w.usize(b.bugs_found);
-                }
-                match &s.in_progress {
-                    None => w.bool(false),
-                    Some((prefix, stack)) => {
-                        w.bool(true);
-                        w.schedule(prefix);
-                        w.branches(stack);
+                    w.list(items, Writer::schedule);
+                });
+                w.list(&s.bound_history, |w, b| {
+                    for v in [
+                        b.bound,
+                        b.faults,
+                        b.executions,
+                        b.cumulative_states,
+                        b.bugs_found,
+                    ] {
+                        w.usize(v);
                     }
+                });
+                w.bool(s.in_progress.is_some());
+                if let Some(item) = &s.in_progress {
+                    w.item(item);
                 }
             }
-            StrategyState::Dfs(s) => {
+            StrategyState::Dfs { depth_bound, items } => {
                 w.u8(1);
-                w.opt_usize(s.depth_bound);
-                w.branches(&s.stack);
+                w.opt_usize(*depth_bound);
+                w.list(items, Writer::item);
             }
-            StrategyState::Random(s) => {
+            StrategyState::Random { seed, ranges } => {
                 w.u8(2);
-                w.u64(s.rng_state);
-            }
-            StrategyState::ParallelDfs(s) => {
-                w.u8(3);
-                w.opt_usize(s.depth_bound);
-                w.schedules(&s.frontier);
-                match &s.pending {
-                    None => w.bool(false),
-                    Some((prefix, stack)) => {
-                        w.bool(true);
-                        w.schedule(prefix);
-                        w.branches(stack);
-                    }
-                }
-            }
-            StrategyState::ParallelRandom(s) => {
-                w.u8(4);
-                w.u64(s.seed);
-                w.u64(s.next_index);
+                w.u64(*seed);
+                w.list(ranges, |w, &(start, end)| {
+                    w.u64(start);
+                    w.u64(end);
+                });
             }
         }
         w.buf
@@ -396,79 +333,37 @@ impl SearchSnapshot {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let strategy = r.str()?;
-        let n_meta = r.len()?;
-        let mut meta = Vec::with_capacity(n_meta.min(1024));
-        for _ in 0..n_meta {
-            meta.push((r.str()?, r.str()?));
-        }
+        let meta = r.list(|r| Ok((r.str()?, r.str()?)))?;
         let config = decode_config(r)?;
         let base = decode_base(r)?;
         let state = match r.u8()? {
-            0 => {
-                let bound = r.usize()?;
-                let fault = r.usize()?;
-                let bound_executions_base = r.usize()?;
-                let bound_bugs_base = r.usize()?;
-                let completed_bound = r.opt_usize()?;
-                let work = r.schedules()?;
-                let n_levels = r.len()?;
-                let mut deferred = Vec::with_capacity(n_levels.min(1024));
-                for _ in 0..n_levels {
-                    deferred.push((r.usize()?, r.usize()?, r.schedules()?));
-                }
-                let n = r.len()?;
-                let mut bound_history = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    bound_history.push(BoundStats {
+            0 => StrategyState::Icb(IcbState {
+                bound: r.usize()?,
+                fault: r.usize()?,
+                bound_executions_base: r.usize()?,
+                bound_bugs_base: r.usize()?,
+                completed_bound: r.opt_usize()?,
+                work: r.list(Reader::schedule)?,
+                deferred: r.list(|r| Ok((r.usize()?, r.usize()?, r.list(Reader::schedule)?)))?,
+                bound_history: r.list(|r| {
+                    Ok(BoundStats {
                         bound: r.usize()?,
                         faults: r.usize()?,
                         executions: r.usize()?,
                         cumulative_states: r.usize()?,
                         bugs_found: r.usize()?,
-                    });
-                }
-                let in_progress = if r.bool()? {
-                    Some((r.schedule()?, r.branches()?))
-                } else {
-                    None
-                };
-                StrategyState::Icb(IcbState {
-                    bound,
-                    fault,
-                    bound_executions_base,
-                    bound_bugs_base,
-                    completed_bound,
-                    work,
-                    deferred,
-                    bound_history,
-                    in_progress,
-                })
-            }
-            1 => StrategyState::Dfs(DfsState {
+                    })
+                })?,
+                in_progress: if r.bool()? { Some(r.item()?) } else { None },
+            }),
+            1 => StrategyState::Dfs {
                 depth_bound: r.opt_usize()?,
-                stack: r.branches()?,
-            }),
-            2 => StrategyState::Random(RandomState {
-                rng_state: r.u64()?,
-            }),
-            3 => {
-                let depth_bound = r.opt_usize()?;
-                let frontier = r.schedules()?;
-                let pending = if r.bool()? {
-                    Some((r.schedule()?, r.branches()?))
-                } else {
-                    None
-                };
-                StrategyState::ParallelDfs(ParallelDfsState {
-                    depth_bound,
-                    frontier,
-                    pending,
-                })
-            }
-            4 => StrategyState::ParallelRandom(ParallelRandomState {
+                items: r.list(Reader::item)?,
+            },
+            2 => StrategyState::Random {
                 seed: r.u64()?,
-                next_index: r.u64()?,
-            }),
+                ranges: r.list(|r| Ok((r.u64()?, r.u64()?)))?,
+            },
             tag => {
                 return Err(SnapshotError::Corrupt(format!(
                     "unknown strategy state tag {tag}"
@@ -492,12 +387,9 @@ fn encode_config(w: &mut Writer, c: &SearchConfig) {
     w.bool(c.stop_on_first_bug);
     w.usize(c.max_bug_reports);
     w.opt_usize(c.max_work_queue);
-    match c.max_duration {
-        None => w.bool(false),
-        Some(d) => {
-            w.bool(true);
-            w.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
+    w.bool(c.max_duration.is_some());
+    if let Some(d) = c.max_duration {
+        w.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
     w.usize(c.coverage_stride);
 }
@@ -522,90 +414,61 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SearchConfig, SnapshotError> {
 fn encode_base(w: &mut Writer, b: &ResumeBase) {
     w.usize(b.executions);
     w.usize(b.buggy_executions);
-    w.len(b.bugs.len());
-    for bug in &b.bugs {
+    w.list(&b.bugs, |w, bug| {
         encode_outcome(w, &bug.outcome);
         w.schedule(&bug.schedule);
         w.usize(bug.preemptions);
         w.usize(bug.faults);
         w.usize(bug.execution_index);
         w.usize(bug.steps);
-    }
+    });
     encode_stats(w, &b.max_stats);
-    w.len(b.quarantined.len());
-    for q in &b.quarantined {
+    w.list(&b.quarantined, |w, q| {
         w.schedule(&q.schedule);
         w.usize(q.step);
         w.tid(q.expected);
         w.tids(&q.actual);
-    }
+    });
     w.usize(b.quarantined_total);
     w.usize(b.watchdog_trips);
     w.bool(b.truncated);
-    w.len(b.coverage_states.len());
-    for &s in &b.coverage_states {
-        w.u64(s);
-    }
+    w.list(&b.coverage_states, |w, &s| w.u64(s));
     w.usize(b.coverage_executions);
-    w.len(b.coverage_curve.len());
-    for &(x, y) in &b.coverage_curve {
+    w.list(&b.coverage_curve, |w, &(x, y)| {
         w.usize(x);
         w.usize(y);
-    }
+    });
 }
 
 fn decode_base(r: &mut Reader<'_>) -> Result<ResumeBase, SnapshotError> {
-    let executions = r.usize()?;
-    let buggy_executions = r.usize()?;
-    let n_bugs = r.len()?;
-    let mut bugs = Vec::with_capacity(n_bugs.min(1024));
-    for _ in 0..n_bugs {
-        bugs.push(BugReport {
-            outcome: decode_outcome(r)?,
-            schedule: r.schedule()?,
-            preemptions: r.usize()?,
-            faults: r.usize()?,
-            execution_index: r.usize()?,
-            steps: r.usize()?,
-        });
-    }
-    let max_stats = decode_stats(r)?;
-    let n_q = r.len()?;
-    let mut quarantined = Vec::with_capacity(n_q.min(1024));
-    for _ in 0..n_q {
-        quarantined.push(QuarantinedTrace {
-            schedule: r.schedule()?,
-            step: r.usize()?,
-            expected: r.tid()?,
-            actual: r.tids()?,
-        });
-    }
-    let quarantined_total = r.usize()?;
-    let watchdog_trips = r.usize()?;
-    let truncated = r.bool()?;
-    let n_states = r.len()?;
-    let mut coverage_states = Vec::with_capacity(n_states.min(1 << 20));
-    for _ in 0..n_states {
-        coverage_states.push(r.u64()?);
-    }
-    let coverage_executions = r.usize()?;
-    let n_curve = r.len()?;
-    let mut coverage_curve = Vec::with_capacity(n_curve.min(1 << 20));
-    for _ in 0..n_curve {
-        coverage_curve.push((r.usize()?, r.usize()?));
-    }
     Ok(ResumeBase {
-        executions,
-        buggy_executions,
-        bugs,
-        max_stats,
-        quarantined,
-        quarantined_total,
-        watchdog_trips,
-        truncated,
-        coverage_states,
-        coverage_executions,
-        coverage_curve,
+        executions: r.usize()?,
+        buggy_executions: r.usize()?,
+        bugs: r.list(|r| {
+            Ok(BugReport {
+                outcome: decode_outcome(r)?,
+                schedule: r.schedule()?,
+                preemptions: r.usize()?,
+                faults: r.usize()?,
+                execution_index: r.usize()?,
+                steps: r.usize()?,
+            })
+        })?,
+        max_stats: decode_stats(r)?,
+        quarantined: r.list(|r| {
+            Ok(QuarantinedTrace {
+                schedule: r.schedule()?,
+                step: r.usize()?,
+                expected: r.tid()?,
+                actual: r.tids()?,
+            })
+        })?,
+        quarantined_total: r.usize()?,
+        watchdog_trips: r.usize()?,
+        truncated: r.bool()?,
+        coverage_states: r.list(Reader::u64)?,
+        coverage_executions: r.usize()?,
+        coverage_curve: r.list(|r| Ok((r.usize()?, r.usize()?)))?,
     })
 }
 
@@ -694,55 +557,44 @@ impl Writer {
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
-    fn len(&mut self, v: usize) {
-        self.usize(v);
-    }
     fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
     fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.bool(false),
-            Some(x) => {
-                self.bool(true);
-                self.usize(x);
-            }
+        self.bool(v.is_some());
+        if let Some(x) = v {
+            self.usize(x);
+        }
+    }
+    /// A length-prefixed list, each element written by `item`.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for x in items {
+            item(self, x);
         }
     }
     fn str(&mut self, s: &str) {
-        self.len(s.len());
+        self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
     fn tid(&mut self, t: Tid) {
         self.usize(t.0);
     }
     fn tids(&mut self, ts: &[Tid]) {
-        self.len(ts.len());
-        for &t in ts {
-            self.tid(t);
-        }
+        self.list(ts, |w, &t| w.tid(t));
     }
     fn schedule(&mut self, s: &Schedule) {
         self.tids(s.as_slice());
-        let faults = s.faults();
-        self.len(faults.len());
-        for &step in faults {
-            self.usize(step);
-        }
+        self.list(s.faults(), |w, &step| w.usize(step));
     }
-    fn schedules(&mut self, ss: &[Schedule]) {
-        self.len(ss.len());
-        for s in ss {
-            self.schedule(s);
-        }
-    }
-    fn branches(&mut self, bs: &[BranchSnapshot]) {
-        self.len(bs.len());
-        for b in bs {
-            self.usize(b.step);
-            self.tids(&b.options);
-            self.usize(b.next_ix);
-        }
+    /// A work item: its prefix and branch stack.
+    fn item(&mut self, (prefix, stack): &(Schedule, Vec<BranchSnapshot>)) {
+        self.schedule(prefix);
+        self.list(stack, |w, b| {
+            w.usize(b.step);
+            w.tids(&b.options);
+            w.usize(b.next_ix);
+        });
     }
 }
 
@@ -771,9 +623,6 @@ impl Reader<'_> {
         usize::try_from(self.u64()?)
             .map_err(|_| SnapshotError::Corrupt("value exceeds usize".into()))
     }
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        self.usize()
-    }
     fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
             0 => Ok(false),
@@ -782,14 +631,26 @@ impl Reader<'_> {
         }
     }
     fn opt_usize(&mut self) -> Result<Option<usize>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.usize()?))
+        Ok(if self.bool()? {
+            Some(self.usize()?)
         } else {
-            Ok(None)
+            None
+        })
+    }
+    /// A length-prefixed list, each element read by `item`.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.usize()?;
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(item(self)?);
         }
+        Ok(out)
     }
     fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len()?;
+        let n = self.usize()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SnapshotError::Corrupt("invalid UTF-8 string".into()))
@@ -798,52 +659,42 @@ impl Reader<'_> {
         Ok(Tid(self.usize()?))
     }
     fn tids(&mut self) -> Result<Vec<Tid>, SnapshotError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(self.tid()?);
-        }
-        Ok(out)
+        self.list(Reader::tid)
     }
     fn schedule(&mut self) -> Result<Schedule, SnapshotError> {
         let mut s = Schedule::from(self.tids()?);
-        let n = self.len()?;
-        let mut faults = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            faults.push(self.usize()?);
-        }
-        s.set_faults(faults);
+        s.set_faults(self.list(Reader::usize)?);
         Ok(s)
     }
-    fn schedules(&mut self) -> Result<Vec<Schedule>, SnapshotError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(self.schedule()?);
-        }
-        Ok(out)
-    }
-    fn branches(&mut self) -> Result<Vec<BranchSnapshot>, SnapshotError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(BranchSnapshot {
-                step: self.usize()?,
-                options: self.tids()?,
-                next_ix: self.usize()?,
-            });
-        }
-        Ok(out)
+    /// A work item: its prefix and branch stack.
+    fn item(&mut self) -> Result<(Schedule, Vec<BranchSnapshot>), SnapshotError> {
+        let prefix = self.schedule()?;
+        let stack = self.list(|r| {
+            let b = BranchSnapshot {
+                step: r.usize()?,
+                options: r.tids()?,
+                next_ix: r.usize()?,
+            };
+            // An out-of-range option index would otherwise panic deep
+            // inside a scheduler.
+            if b.next_ix >= b.options.len() {
+                return Err(SnapshotError::Corrupt(
+                    "branch stack entry with out-of-range option index".into(),
+                ));
+            }
+            Ok(b)
+        })?;
+        Ok((prefix, stack))
     }
 }
 
 /// Writes periodic checkpoints of a search to one path.
 ///
-/// A checkpointer is handed to `run_checkpointed` / `resume` on the
-/// strategies; they consult [`due`](Checkpointer::due) at execution
-/// boundaries and [`write`](Checkpointer::write) atomically. On clean
-/// completion the strategy calls [`finish`](Checkpointer::finish) to
-/// remove the file — a completed search has nothing to resume.
+/// A checkpointer is handed to [`Search::checkpoint`](crate::search::Search::checkpoint);
+/// the driver consults [`due`](Checkpointer::due) at execution
+/// boundaries and [`write`](Checkpointer::write)s atomically. On clean
+/// completion it calls [`finish`](Checkpointer::finish) to remove the
+/// file — a completed search has nothing to resume.
 #[derive(Debug)]
 pub struct Checkpointer {
     path: PathBuf,
@@ -856,9 +707,7 @@ impl Checkpointer {
     /// Creates a checkpointer writing to `path` every `every` executions.
     ///
     /// The raw interval is kept so [`Search`](crate::search::Search) can
-    /// reject `every == 0` at build time with a typed error; the
-    /// deprecated per-strategy entry points clamp it to 1 at use, as
-    /// previous releases did.
+    /// reject `every == 0` at build time with a typed error.
     pub fn new(path: impl Into<PathBuf>, every: usize) -> Self {
         Checkpointer {
             path: path.into(),
@@ -1082,21 +931,28 @@ mod tests {
     fn dfs_and_random_states_round_trip() {
         let mut snap = sample();
         snap.strategy = "dfs".into();
-        snap.state = StrategyState::Dfs(DfsState {
+        snap.state = StrategyState::Dfs {
             depth_bound: Some(40),
-            stack: vec![BranchSnapshot {
-                step: 0,
-                options: vec![Tid(0), Tid(1), Tid(2)],
-                next_ix: 2,
-            }],
-        });
+            items: vec![
+                (
+                    vec![Tid(1)].into(),
+                    vec![BranchSnapshot {
+                        step: 1,
+                        options: vec![Tid(0), Tid(1), Tid(2)],
+                        next_ix: 2,
+                    }],
+                ),
+                (vec![Tid(2)].into(), Vec::new()),
+            ],
+        };
         let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
         assert_eq!(back, snap);
 
         snap.strategy = "random".into();
-        snap.state = StrategyState::Random(RandomState {
-            rng_state: 0xdead_beef,
-        });
+        snap.state = StrategyState::Random {
+            seed: 0xdead_beef,
+            ranges: vec![(3, 9), (12, 40)],
+        };
         let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
         assert_eq!(back, snap);
     }
@@ -1166,12 +1022,33 @@ mod tests {
             .to_string()
             .contains("corrupted"));
         assert!(SnapshotError::Truncated.to_string().contains("truncated"));
-        let e = SnapshotError::WrongStrategy {
-            expected: "icb".into(),
-            found: "dfs".into(),
-        };
-        assert!(e.to_string().contains("dfs"));
-        assert!(e.to_string().contains("icb"));
+        let e = SnapshotError::UnsupportedVersion(3);
+        assert!(e.to_string().contains("version 3"), "{e}");
+        assert!(e.to_string().contains("restart the run"), "{e}");
+    }
+
+    #[test]
+    fn version_3_snapshots_are_rejected_not_panicked() {
+        // A v3 file (the layout before one state per strategy) fails on
+        // its header, before any of its payload is decoded.
+        let mut bytes = to_bytes(&sample());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            SearchSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::UnsupportedVersion(3))
+        );
+    }
+
+    #[test]
+    fn out_of_range_branch_index_is_rejected() {
+        let mut snap = sample();
+        if let StrategyState::Icb(state) = &mut snap.state {
+            state.in_progress.as_mut().unwrap().1[0].next_ix = 2;
+        }
+        assert!(matches!(
+            SearchSnapshot::from_bytes(&to_bytes(&snap)),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 
 use std::path::{Path, PathBuf};
 
-use icb_core::search::{IcbSearch, Search, SearchConfig, SearchReport, Strategy};
-use icb_core::snapshot::{Checkpointer, SearchSnapshot, SnapshotError, StrategyState};
+use icb_core::search::{Search, SearchConfig, SearchReport, Strategy};
+use icb_core::snapshot::{Checkpointer, SearchSnapshot, StrategyState};
 use icb_core::telemetry::SearchObserver;
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, NoopObserver, SchedulePoint, Scheduler,
-    StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler, StateSink, Tid,
+    Trace, TraceEntry,
 };
 
 /// `n` threads × `k` increments of a shared counter; an optional bug
@@ -317,9 +317,9 @@ fn random_resume_continues_the_exact_stream() {
 }
 
 #[test]
-fn resume_rejects_a_snapshot_from_another_strategy() {
-    // The builder derives the strategy from the snapshot itself, so this
-    // mismatch can only arise on the legacy per-strategy resume surface.
+fn resume_ignores_a_conflicting_strategy() {
+    // The builder derives the strategy from the snapshot itself, so a
+    // random checkpoint resumes as random even under `strategy(Icb)`.
     let program = Counters {
         n: 2,
         k: 2,
@@ -338,17 +338,13 @@ fn resume_rejects_a_snapshot_from_another_strategy() {
             .unwrap()
     });
     let snapshot = SearchSnapshot::read_from(&frozen).unwrap();
-    #[allow(deprecated)] // shim regression: the legacy resume still validates
-    let err = IcbSearch::resume(&program, snapshot, &mut NoopObserver, None).unwrap_err();
-    assert!(
-        matches!(err, SnapshotError::WrongStrategy { .. }),
-        "got {err:?}"
-    );
-    let rendered = err.to_string();
-    assert!(
-        rendered.contains("random") && rendered.contains("icb"),
-        "{rendered}"
-    );
+    let resumed = Search::over(&program)
+        .strategy(Strategy::Icb)
+        .resume_from(snapshot)
+        .run()
+        .unwrap();
+    assert_eq!(resumed.strategy, "random");
+    assert_eq!(resumed.executions, 10);
 }
 
 #[test]
@@ -375,4 +371,101 @@ fn resumed_budget_stopped_run_does_not_overrun_the_budget() {
     let resumed = Search::over(&program).resume_from(snapshot).run().unwrap();
     assert_eq!(resumed.executions, 9, "resume must not exceed the budget");
     assert_eq!(resumed.distinct_states, stopped.distinct_states);
+}
+
+/// Everything a report says about *what* was explored, leaving out the
+/// order-dependent parts (bug numbering and order, curve sampling).
+fn assert_same_exploration(resumed: &SearchReport, reference: &SearchReport) {
+    assert_eq!(resumed.executions, reference.executions, "executions");
+    assert_eq!(resumed.distinct_states, reference.distinct_states, "states");
+    assert_eq!(
+        resumed.buggy_executions, reference.buggy_executions,
+        "buggy"
+    );
+    assert_eq!(resumed.completed, reference.completed, "completed");
+    assert_eq!(resumed.max_stats, reference.max_stats, "max stats");
+    let bugs = |r: &SearchReport| {
+        let mut bugs: Vec<_> = r.bugs.iter().map(|b| b.schedule.clone()).collect();
+        bugs.sort();
+        bugs.dedup();
+        bugs
+    };
+    assert_eq!(bugs(resumed), bugs(reference), "bug schedules");
+}
+
+/// Freezes a checkpoint of `strategy` written at `write_jobs` and
+/// resumes it at `resume_jobs`.
+fn resume_across_jobs(
+    program: &Counters,
+    strategy: Strategy,
+    config: &SearchConfig,
+    (write_jobs, resume_jobs): (usize, usize),
+) -> SearchReport {
+    let dir = TempDir::new(&format!(
+        "across-{}-{write_jobs}-{resume_jobs}",
+        strategy.label()
+    ));
+    let live = dir.path("live.ck");
+    let frozen = dir.path("frozen.ck");
+    // The first write: a parallel pump may fall behind its workers, so
+    // later writes are not guaranteed to happen mid-run.
+    freeze_mid_search(&live, &frozen, 3, 1, |copier, ck| {
+        Search::over(program)
+            .strategy(strategy)
+            .config(config.clone())
+            .jobs(write_jobs)
+            .observer(copier)
+            .checkpoint(ck)
+            .run()
+            .unwrap()
+    });
+    let snapshot = SearchSnapshot::read_from(&frozen).unwrap();
+    Search::over(program)
+        .resume_from(snapshot)
+        .jobs(resume_jobs)
+        .run()
+        .unwrap()
+}
+
+#[test]
+fn dfs_checkpoints_resume_across_job_counts() {
+    let program = Counters {
+        n: 3,
+        k: 3,
+        bug: Some((1, 1, 3)),
+    };
+    let config = SearchConfig::default();
+    for strategy in [Strategy::Dfs, Strategy::DepthBounded(4)] {
+        for jobs in [(1, 2), (2, 1)] {
+            let reference = Search::over(&program)
+                .strategy(strategy)
+                .config(config.clone())
+                .jobs(jobs.1)
+                .run()
+                .unwrap();
+            let resumed = resume_across_jobs(&program, strategy, &config, jobs);
+            assert_same_exploration(&resumed, &reference);
+        }
+    }
+}
+
+#[test]
+fn random_checkpoints_resume_across_job_counts() {
+    let program = Counters {
+        n: 3,
+        k: 2,
+        bug: Some((1, 0, 2)),
+    };
+    let config = SearchConfig::with_max_executions(40);
+    let strategy = Strategy::Random { seed: 7 };
+    for jobs in [(1, 2), (2, 1)] {
+        let reference = Search::over(&program)
+            .strategy(strategy)
+            .config(config.clone())
+            .jobs(jobs.1)
+            .run()
+            .unwrap();
+        let resumed = resume_across_jobs(&program, strategy, &config, jobs);
+        assert_same_exploration(&resumed, &reference);
+    }
 }

@@ -534,3 +534,73 @@ fn sequential_runs_emit_no_worker_stamps() {
     );
     assert_eq!(audit.executions, report.executions);
 }
+
+#[test]
+fn random_matches_on_order_independent_fields_at_jobs_1_2_8() {
+    // Walk `i` draws from its own stream at every job count, so the
+    // sampled set is the same; only bug numbering and the curve's
+    // sampling follow the job count.
+    let program = buggy();
+    let config = SearchConfig::with_max_executions(64);
+    let strategy = Strategy::Random { seed: 0x1cb };
+    let seq = run(&program, strategy, config.clone(), 1);
+    let par2 = run(&program, strategy, config.clone(), 2);
+    let par8 = run(&program, strategy, config, 8);
+    assert_eq!(par2, par8);
+    assert_eq!(seq.executions, par2.executions);
+    assert_eq!(seq.distinct_states, par2.distinct_states);
+    assert_eq!(seq.buggy_executions, par2.buggy_executions);
+    assert_eq!(seq.max_stats, par2.max_stats);
+    let schedules = |r: &SearchReport| {
+        let mut s: Vec<_> = r.bugs.iter().map(|b| b.schedule.clone()).collect();
+        s.sort();
+        s.dedup();
+        s
+    };
+    assert_eq!(schedules(&seq), schedules(&par2));
+}
+
+/// Records the thread every execution runs on.
+struct ThreadProbe {
+    inner: Counters,
+    threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+}
+
+impl ControlledProgram for ThreadProbe {
+    fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        self.inner.execute(scheduler, sink)
+    }
+}
+
+#[test]
+fn jobs_1_executes_on_the_calling_thread() {
+    let strategies = [
+        Strategy::Icb,
+        Strategy::Dfs,
+        Strategy::DepthBounded(3),
+        Strategy::IterativeDeepening {
+            start: 2,
+            step: 2,
+            max: 6,
+        },
+        Strategy::Random { seed: 3 },
+        Strategy::BestFirst,
+    ];
+    for strategy in strategies {
+        let probe = ThreadProbe {
+            inner: buggy(),
+            threads: Default::default(),
+        };
+        run(&probe, strategy, SearchConfig::with_max_executions(50), 1);
+        let threads = probe.threads.into_inner().unwrap();
+        assert_eq!(
+            threads.into_iter().collect::<Vec<_>>(),
+            vec![std::thread::current().id()],
+            "{strategy:?}"
+        );
+    }
+}

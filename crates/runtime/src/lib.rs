@@ -28,7 +28,7 @@
 //! check and act violates the invariant:
 //!
 //! ```
-//! use icb_core::search::{IcbSearch, SearchConfig};
+//! use icb_core::search::{Search, SearchConfig};
 //! use icb_runtime::{RuntimeProgram, sync::AtomicBool, thread};
 //! use std::sync::Arc;
 //!
@@ -50,7 +50,14 @@
 //! // The minimal failing interleaving preempts the worker between check
 //! // and act, and the main thread before its store: two preemptions —
 //! // every one of the paper's 9 new bugs needed at most that many.
-//! let bug = IcbSearch::find_minimal_bug(&program, 10_000).expect("found");
+//! let report = Search::over(&program)
+//!     .config(SearchConfig {
+//!         max_executions: Some(10_000),
+//!         ..SearchConfig::bug_hunt()
+//!     })
+//!     .run()
+//!     .unwrap();
+//! let bug = report.first_bug().expect("found");
 //! assert_eq!(bug.preemptions, 2);
 //! ```
 
@@ -91,7 +98,7 @@ pub use program::RuntimeProgram;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::{Search, SearchConfig};
 /// use icb_runtime::{fail_point, RuntimeProgram};
 ///
 /// let program = RuntimeProgram::new(|| {
@@ -105,7 +112,7 @@ pub use program::RuntimeProgram;
 ///     fault_bound: 3,
 ///     ..SearchConfig::default()
 /// };
-/// let report = IcbSearch::new(config).run(&program);
+/// let report = Search::over(&program).config(config).run().unwrap();
 /// assert_eq!(report.bugs.len(), 1); // three injected failures trip it
 /// assert_eq!(report.bugs[0].faults, 3);
 /// ```

@@ -22,7 +22,7 @@ use crate::sync::{Condvar, Mutex};
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::Channel, thread};
 /// use std::sync::Arc;
 ///
@@ -44,7 +44,7 @@ use crate::sync::{Condvar, Mutex};
 ///     producer.join();
 ///     assert_eq!(got, vec![0, 1]); // FIFO, nothing lost
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Channel<T> {

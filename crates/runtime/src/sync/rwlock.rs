@@ -18,7 +18,7 @@ use crate::op::PendingOp;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::RwLock, thread};
 /// use std::sync::Arc;
 ///
@@ -37,7 +37,7 @@ use crate::op::PendingOp;
 ///     }
 ///     for r in readers { r.join(); }
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct RwLock<T> {

@@ -14,7 +14,7 @@ use crate::op::PendingOp;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::Semaphore, thread};
 /// use std::sync::Arc;
 ///
@@ -27,7 +27,7 @@ use crate::op::PendingOp;
 ///     sem.acquire(); // waits for the child's release
 ///     t.join();
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Semaphore {

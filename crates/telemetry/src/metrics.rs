@@ -78,7 +78,7 @@ impl Histogram {
 /// Attach one recorder per search:
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig, SearchStrategy};
+/// use icb_core::search::Search;
 /// use icb_telemetry::MetricsRecorder;
 /// # use icb_core::{ControlledProgram, Scheduler, StateSink, ExecutionResult,
 /// #                ExecutionOutcome, Trace};
@@ -90,8 +90,7 @@ impl Histogram {
 /// #     }
 /// # }
 /// let mut metrics = MetricsRecorder::new();
-/// let report = IcbSearch::new(SearchConfig::default())
-///     .search_observed(&Nop, &mut metrics);
+/// let report = Search::over(&Nop).observer(&mut metrics).run().unwrap();
 /// assert_eq!(metrics.executions(), report.executions);
 /// ```
 #[derive(Debug, Default)]

@@ -97,19 +97,6 @@ impl<W: Write> ProgressReporter<W> {
         &self.registry
     }
 
-    /// Enables the Theorem-1 ETA for a program with `threads` threads,
-    /// each executing at most `blocking` potentially blocking operations.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set Theorem-1 parameters on the registry instead: \
-                `reporter.registry().set_theorem1(threads, blocking)` (or on \
-                the shared registry passed to `with_registry`)"
-    )]
-    pub fn with_theorem1(self, threads: u64, blocking: u64) -> Self {
-        self.registry.set_theorem1(threads, blocking);
-        self
-    }
-
     fn due(&self) -> bool {
         self.last_line
             .is_none_or(|t| t.elapsed() >= self.min_interval)
@@ -339,30 +326,6 @@ mod tests {
     fn eta_appears_with_theorem1_params() {
         let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
         p.registry().set_theorem1(2, 1);
-        p.search_started("icb");
-        p.bound_started(0, 1);
-        std::thread::sleep(Duration::from_millis(2));
-        p.execution_finished(
-            1,
-            &ExecStats {
-                steps: 4,
-                ..ExecStats::default()
-            },
-            &ExecutionOutcome::Terminated,
-            2,
-        );
-        let text = String::from_utf8(p.out).unwrap();
-        assert!(text.contains("eta"), "{text}");
-    }
-
-    /// Back-compat: the deprecated builder still routes the parameters
-    /// into the registry.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_theorem1_builder_still_works() {
-        let mut p = ProgressReporter::to_writer(Vec::new())
-            .with_interval(Duration::ZERO)
-            .with_theorem1(2, 1);
         p.search_started("icb");
         p.bound_started(0, 1);
         std::thread::sleep(Duration::from_millis(2));

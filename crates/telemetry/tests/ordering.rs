@@ -282,6 +282,193 @@ fn multi_observer_fans_out_identically_under_every_strategy() {
     }
 }
 
+/// Three threads of four steps each over one lock and a shared counter:
+/// acquire (blocks while another thread holds the lock), a fallible
+/// increment (an injected fault loses the update), release, then a
+/// check. Thread 1 fails its check when it sees only its own increment;
+/// a lost update fails the final join check. Blocking, nonpreempting
+/// branches, faults, bugs and state fingerprints all occur, so the
+/// pinned streams below exercise every per-execution event.
+struct Pinned;
+
+impl ControlledProgram for Pinned {
+    fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
+        const THREADS: usize = 3;
+        let mut pc = [0usize; THREADS];
+        let mut lock: Option<usize> = None;
+        let mut counter = 0u32;
+        let mut trace = Trace::new();
+        let mut current: Option<Tid> = None;
+        let mut failure = None;
+        loop {
+            let enabled: Vec<Tid> = (0..THREADS)
+                .filter(|&t| pc[t] < 4 && !(pc[t] == 0 && lock.is_some()))
+                .map(Tid)
+                .collect();
+            if enabled.is_empty() {
+                break;
+            }
+            let current_enabled = current.is_some_and(|c| enabled.contains(&c));
+            let chosen = scheduler.pick(SchedulePoint {
+                step_index: trace.len(),
+                current,
+                current_enabled,
+                enabled: &enabled,
+            });
+            let t = chosen.index();
+            let class = ["acquire", "incr", "release", "check"][pc[t]];
+            let site = SiteId::at(t as u32, class, pc[t] as u32);
+            let mut fault = false;
+            match pc[t] {
+                0 => lock = Some(t),
+                1 => {
+                    fault = scheduler.decide_fault(icb_core::FaultPoint {
+                        step_index: trace.len(),
+                        tid: chosen,
+                        site,
+                    });
+                    if !fault {
+                        counter += 1;
+                    }
+                }
+                2 => lock = None,
+                _ => {
+                    if t == 1 && counter == 1 && failure.is_none() {
+                        failure = Some("thread 1 saw only its own increment".to_string());
+                    }
+                }
+            }
+            trace.push(
+                TraceEntry::new(chosen, enabled, current, current_enabled, pc[t] == 0)
+                    .with_site(site)
+                    .with_fault(fault),
+            );
+            pc[t] += 1;
+            current = Some(chosen);
+            let mut bytes = vec![lock.map_or(9, |l| l as u8), counter as u8];
+            bytes.extend(pc.iter().map(|&p| p as u8));
+            sink.visit(icb_core::coverage::fingerprint_bytes(&bytes));
+        }
+        if failure.is_none() && counter != THREADS as u32 {
+            failure = Some(format!("lost update: counter {counter}"));
+        }
+        let outcome = match failure {
+            Some(message) => ExecutionOutcome::AssertionFailure {
+                thread: Tid(1),
+                message,
+            },
+            None => ExecutionOutcome::Terminated,
+        };
+        ExecutionResult::from_trace(outcome, trace)
+    }
+
+    fn fingerprints_are_exact(&self) -> bool {
+        true
+    }
+}
+
+/// An in-memory fingerprint cache: a subtree is covered when it was
+/// recorded with at least the queried credit.
+#[derive(Default)]
+struct MapCache(std::sync::Mutex<std::collections::HashMap<(u64, Tid), u32>>);
+
+impl icb_core::ExplorationCache for MapCache {
+    fn probe(&self, state: u64, choice: Tid, credit: u32) -> bool {
+        let mut map = self.0.lock().unwrap();
+        match map.get(&(state, choice)) {
+            Some(&have) if have >= credit => true,
+            _ => {
+                map.insert((state, choice), credit);
+                false
+            }
+        }
+    }
+}
+
+/// A stable digest of a value's `Debug` rendering (FNV-1a 64).
+fn digest(text: &str) -> u64 {
+    icb_core::coverage::fingerprint_bytes(text.as_bytes())
+}
+
+/// Digests of the `jobs = 1` report and event log (wall times zeroed)
+/// of one search over [`Pinned`].
+fn pinned_digests(name: &str) -> (u64, u64) {
+    let program = Pinned;
+    let mut log = EventLog::new();
+    let cache = MapCache::default();
+    let path = std::env::temp_dir().join(format!("icb-pinned-{}.ck", std::process::id()));
+    let search = Search::over(&program).observer(&mut log);
+    let search = match name {
+        "icb f=0" => search,
+        "icb f=1" => search.config(SearchConfig {
+            fault_bound: 1,
+            preemption_bound: Some(2),
+            ..SearchConfig::default()
+        }),
+        "icb cache" => search.cache(&cache),
+        "icb checkpoint" => search.checkpoint(icb_core::Checkpointer::new(&path, 1)),
+        "dfs" => search
+            .strategy(Strategy::Dfs)
+            .config(SearchConfig::bug_hunt()),
+        "db:5" => search.strategy(Strategy::DepthBounded(5)),
+        "idfs" => search.strategy(Strategy::IterativeDeepening {
+            start: 2,
+            step: 3,
+            max: 12,
+        }),
+        "best-first" => search
+            .strategy(Strategy::BestFirst)
+            .config(SearchConfig::with_max_executions(60)),
+        other => unreachable!("no pinned search `{other}`"),
+    };
+    let report = search.run().unwrap();
+    let _ = std::fs::remove_file(&path);
+    let events: Vec<Event> = log
+        .into_events()
+        .into_iter()
+        .map(|event| match event {
+            Event::BoundCompleted { stats, .. } => Event::BoundCompleted {
+                stats,
+                wall_time: std::time::Duration::ZERO,
+            },
+            Event::PhaseTime { phase, .. } => Event::PhaseTime {
+                phase,
+                elapsed: std::time::Duration::ZERO,
+            },
+            other => other,
+        })
+        .collect();
+    (
+        digest(&format!("{report:?}")),
+        digest(&format!("{events:?}")),
+    )
+}
+
+/// The `jobs = 1` reports and event streams are pinned: any change to
+/// what a sequential search explores, reports or emits — and in which
+/// order — changes a digest. Random walks are not pinned.
+#[test]
+fn sequential_reports_and_event_logs_are_pinned() {
+    let pinned: [(&str, u64, u64); 8] = [
+        ("icb f=0", 0xf12e75367cd6a059, 0x64f93f04103bfe86),
+        ("icb f=1", 0xce7880b149bb4ad5, 0xae214b283a9a8ba7),
+        ("icb cache", 0x8c0c0d7ff8f85454, 0x54ec2f044bbd4637),
+        ("icb checkpoint", 0xf12e75367cd6a059, 0x653fa730e06b472a),
+        ("dfs", 0x8e3726c4c580af69, 0xb9818c5c89291e84),
+        ("db:5", 0x58dee43b95f29681, 0x89082a1f9d3cc59c),
+        ("idfs", 0x06ded361f4dc752f, 0x4a4f3c8ba693d9eb),
+        ("best-first", 0x6309180341e14c6e, 0xb31ab014dea9182b),
+    ];
+    let got: Vec<(&str, u64, u64)> = pinned
+        .iter()
+        .map(|&(name, _, _)| {
+            let (report, events) = pinned_digests(name);
+            (name, report, events)
+        })
+        .collect();
+    assert_eq!(got, pinned, "pinned jobs = 1 digests changed");
+}
+
 /// Aborting on the first bug emits `search-aborted` exactly once, after
 /// the `bug-found` and before `search-finished`.
 #[test]

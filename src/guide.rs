@@ -119,7 +119,7 @@ pub mod writing_models {}
 ///   carries the failing `schedule`: feed it to
 ///   [`ReplayScheduler`](crate::core::ReplayScheduler) to reproduce the
 ///   failure deterministically, as many times as you like, under a
-///   debugger if needed. For `IcbSearch` the *first* bug's
+///   debugger if needed. For ICB the *first* bug's
 ///   `preemptions` is minimal over all failing executions — the paper's
 ///   "simplest explanation" property. Render the replayed trace with
 ///   [`render::lanes`](crate::core::render::lanes).

@@ -34,8 +34,7 @@ fn lost_update(config: RuntimeConfig) -> RuntimeProgram {
     })
 }
 
-/// Minimal-preemption bug hunt via the builder (the old
-/// `IcbSearch::find_minimal_bug` convenience).
+/// Minimal-preemption bug hunt via the builder.
 fn minimal_bug(program: &(dyn ControlledProgram + Sync), budget: usize) -> Option<BugReport> {
     Search::over(program)
         .config(SearchConfig {
