@@ -16,7 +16,9 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use icb_core::{
@@ -34,6 +36,132 @@ use crate::pool;
 enum Turn {
     Controller,
     Task(usize),
+}
+
+/// The controller's value of the turn word; task `i`'s is `i`.
+const CONTROLLER: usize = usize::MAX;
+/// The turn word after an abort: every task may run, so each parked
+/// task unwinds.
+const ALL: usize = usize::MAX - 1;
+
+/// Polls of the turn word before a waiter parks, with a yield of the
+/// processor between polls. A step of the program under test takes a
+/// few microseconds, so most handoffs land inside the polling and cost
+/// no futex sleep, and the processor never idles between two steps.
+/// Yielding rather than busy-spinning leaves the processor to the
+/// holder whenever waiters outnumber cores (one core, or two workers at
+/// `--jobs 2` on two). The bound, about a millisecond, keeps a waiter
+/// whose peer is stuck from polling far longer than any step.
+const POLL_ROUNDS: u32 = 2048;
+
+/// The direct handoff between the controller and the tasks.
+///
+/// An atomic turn word names who may run: the controller, one task, or
+/// — after [`wake_all`](Baton::wake_all) — every task, so that each
+/// parked task unwinds. [`hand_to`](Baton::hand_to) stores the word and
+/// wakes only the next holder; [`wait_for`](Baton::wait_for) polls the
+/// word [`POLL_ROUNDS`] times, then parks the calling thread.
+///
+/// Callers mutate the word only while holding the execution mutex, which
+/// orders each handoff after the state it publishes and makes "the last
+/// unwinding task hands the turn back" race-free. Waiting takes no lock.
+#[derive(Debug)]
+struct Baton {
+    turn: AtomicUsize,
+    /// The thread of each participant that has parked: slot 0 is the
+    /// controller, slot `i + 1` task `i`. A handoff reads the slot under
+    /// this lock after storing the word, and a waiter fills its slot
+    /// under it before its last poll, so no wake-up is lost.
+    parked: StdMutex<Vec<Option<Thread>>>,
+}
+
+impl Baton {
+    fn new() -> Self {
+        Baton {
+            turn: AtomicUsize::new(CONTROLLER),
+            parked: StdMutex::new(Vec::new()),
+        }
+    }
+
+    fn slots(&self) -> StdMutexGuard<'_, Vec<Option<Thread>>> {
+        self.parked.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn word(who: Turn) -> usize {
+        match who {
+            Turn::Controller => CONTROLLER,
+            Turn::Task(i) => i,
+        }
+    }
+
+    fn slot(who: Turn) -> usize {
+        match who {
+            Turn::Controller => 0,
+            Turn::Task(i) => i + 1,
+        }
+    }
+
+    /// Gives the turn to `who`, waking its thread if it is parked.
+    fn hand_to(&self, who: Turn) {
+        // Release pairs with the Acquire poll in `wait_for`.
+        self.turn.store(Self::word(who), Ordering::Release);
+        if let Some(Some(thread)) = self.slots().get(Self::slot(who)) {
+            thread.unpark();
+        }
+    }
+
+    /// Gives the turn to every task at once and wakes each parked one.
+    fn wake_all(&self) {
+        self.turn.store(ALL, Ordering::Release);
+        for thread in self.slots().iter().skip(1).flatten() {
+            thread.unpark();
+        }
+    }
+
+    /// Blocks until it is `who`'s turn (for a task, also after
+    /// [`wake_all`](Baton::wake_all)). Returns `false` if `deadline`
+    /// passes first.
+    fn wait_for(&self, who: Turn, deadline: Option<Instant>) -> bool {
+        let word = Self::word(who);
+        let ready = |turn: usize| turn == word || (turn == ALL && who != Turn::Controller);
+        for _ in 0..POLL_ROUNDS {
+            let turn = self.turn.load(Ordering::Acquire);
+            if ready(turn) {
+                return true;
+            }
+            // A task passed over for another task waits at least a whole
+            // step: park now and leave the processor to the holder.
+            if who != Turn::Controller && turn != CONTROLLER {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        {
+            let mut slots = self.slots();
+            let slot = Self::slot(who);
+            if slots.len() <= slot {
+                slots.resize(slot + 1, None);
+            }
+            slots[slot].get_or_insert_with(std::thread::current);
+        }
+        // A stale unpark (from an earlier execution on this pooled
+        // thread) only costs one more poll.
+        loop {
+            if ready(self.turn.load(Ordering::Acquire)) {
+                return true;
+            }
+            match deadline {
+                None => std::thread::park(),
+                Some(dl) => {
+                    let now = Instant::now();
+                    if now >= dl {
+                        return false;
+                    }
+                    std::thread::park_timeout(dl - now);
+                }
+            }
+        }
+    }
 }
 
 /// Private panic payload used to unwind tasks on abort.
@@ -83,7 +211,6 @@ struct TaskEntry {
 
 #[derive(Debug)]
 pub(crate) struct ExecInner {
-    turn: Turn,
     abort: bool,
     outcome: Option<ExecutionOutcome>,
     tasks: Vec<TaskEntry>,
@@ -124,7 +251,7 @@ impl ExecInner {
 #[derive(Debug)]
 pub(crate) struct Execution {
     inner: StdMutex<ExecInner>,
-    cv: StdCondvar,
+    baton: Baton,
     pub(crate) config: RuntimeConfig,
 }
 
@@ -179,7 +306,6 @@ impl Execution {
     pub(crate) fn new(config: RuntimeConfig) -> Self {
         Execution {
             inner: StdMutex::new(ExecInner {
-                turn: Turn::Controller,
                 abort: false,
                 outcome: None,
                 tasks: Vec::new(),
@@ -195,7 +321,7 @@ impl Execution {
                 time_phases: false,
                 detector_time: Duration::ZERO,
             }),
-            cv: StdCondvar::new(),
+            baton: Baton::new(),
             config,
         }
     }
@@ -204,8 +330,13 @@ impl Execution {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait<'a>(&self, guard: StdMutexGuard<'a, ExecInner>) -> StdMutexGuard<'a, ExecInner> {
-        self.cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+    /// Marks the execution aborted and wakes every parked task, which
+    /// then unwinds; the last one to finish hands the turn back.
+    fn abort(&self, inner: &mut ExecInner) {
+        if !inner.abort {
+            inner.abort = true;
+            self.baton.wake_all();
+        }
     }
 
     /// Launches the root task and runs the controller loop to completion.
@@ -249,46 +380,34 @@ impl Execution {
         let time_phases = inner.time_phases;
         let mut replay_time = Duration::ZERO;
         let mut selection_time = Duration::ZERO;
+        // A scheduler panic other than a replay divergence, re-raised
+        // once the tasks are drained.
+        let mut scheduler_panic = None;
         loop {
             let t0 = time_phases.then(Instant::now);
-            while inner.turn != Turn::Controller {
-                match deadline {
-                    None => inner = self.wait(inner),
-                    Some(dl) => {
-                        let now = Instant::now();
-                        if now >= dl {
-                            break;
-                        }
-                        inner = self
-                            .cv
-                            .wait_timeout(inner, dl - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
+            drop(inner);
+            let on_time = self.baton.wait_for(Turn::Controller, deadline);
+            inner = self.lock();
             if let Some(t0) = t0 {
                 replay_time += t0.elapsed();
             }
-            if inner.turn != Turn::Controller {
+            if !on_time {
                 // Watchdog expiry: the baton holder is stuck *between*
                 // scheduling points (uninstrumented loop, blocking call),
                 // where max_steps cannot see it. Abandon the task — mark
                 // it finished so the abort drain below doesn't wait for
                 // it; if it ever wakes it unwinds via the abort flag, and
                 // handle_task_panic's finished-guard skips the recount.
-                if let Turn::Task(i) = inner.turn {
-                    if !inner.tasks[i].finished {
-                        inner.tasks[i].finished = true;
+                if let Some(holder) = inner.current {
+                    if !inner.tasks[holder.index()].finished {
+                        inner.tasks[holder.index()].finished = true;
                         inner.alive -= 1;
                     }
                 }
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::WatchdogTimeout);
-                inner.abort = true;
-                inner.turn = Turn::Controller;
-                self.cv.notify_all();
+                self.abort(&mut inner);
             }
             if let Some(fp) = inner.pending_fp.take() {
                 sink.visit(fp);
@@ -296,26 +415,15 @@ impl Execution {
             for race in inner.pending_races.drain(..) {
                 observer.race_detected(&race);
             }
-            if inner.abort {
-                let t0 = time_phases.then(Instant::now);
-                while inner.alive > 0 {
-                    inner = self.wait(inner);
-                }
-                if let Some(t0) = t0 {
-                    replay_time += t0.elapsed();
-                }
-                break;
-            }
-            if inner.alive == 0 {
+            if inner.abort || inner.alive == 0 {
                 break;
             }
             if inner.steps >= max_steps {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::StepLimitExceeded);
-                inner.abort = true;
-                self.cv.notify_all();
-                continue;
+                self.abort(&mut inner);
+                break;
             }
 
             let enabled: Vec<Tid> = inner
@@ -342,9 +450,8 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::Deadlock { blocked });
-                inner.abort = true;
-                self.cv.notify_all();
-                continue;
+                self.abort(&mut inner);
+                break;
             }
 
             let current = inner.current;
@@ -368,24 +475,17 @@ impl Execution {
                 Err(payload) => {
                     // Scheduler failure: drain the tasks so workers are
                     // reclaimed.
-                    inner.abort = true;
-                    self.cv.notify_all();
-                    while inner.alive > 0 {
-                        inner = self.wait(inner);
-                    }
+                    self.abort(&mut inner);
                     match payload.downcast::<DivergencePayload>() {
+                        // Replay divergence is recoverable: surface it as
+                        // the outcome (with the partial trace) so the
+                        // search can quarantine instead of crash.
                         Ok(divergence) => {
-                            // Replay divergence is recoverable: surface it
-                            // as the outcome (with the partial trace) so
-                            // the search can quarantine instead of crash.
                             inner.outcome.get_or_insert(divergence.into_outcome());
-                            break;
                         }
-                        Err(payload) => {
-                            drop(inner);
-                            resume_unwind(payload);
-                        }
+                        Err(payload) => scheduler_panic = Some(payload),
                     }
+                    break;
                 }
             };
             assert!(
@@ -422,8 +522,21 @@ impl Execution {
             );
             inner.steps += 1;
             inner.current = Some(chosen);
-            inner.turn = Turn::Task(chosen.index());
-            self.cv.notify_all();
+            self.baton.hand_to(Turn::Task(chosen.index()));
+        }
+        // Abort drain: the last task to unwind hands the turn back.
+        let t0 = time_phases.then(Instant::now);
+        while inner.alive > 0 {
+            drop(inner);
+            self.baton.wait_for(Turn::Controller, None);
+            inner = self.lock();
+        }
+        if let Some(t0) = t0 {
+            replay_time += t0.elapsed();
+        }
+        if let Some(payload) = scheduler_panic {
+            drop(inner);
+            resume_unwind(payload);
         }
         if let Some(fp) = inner.pending_fp.take() {
             sink.visit(fp);
@@ -460,23 +573,19 @@ impl Execution {
             panic_abort();
         }
         debug_assert_eq!(
-            inner.turn,
-            Turn::Task(tid.index()),
+            self.baton.turn.load(Ordering::Relaxed),
+            Baton::word(Turn::Task(tid.index())),
             "only the running task may announce"
         );
         let is_exit = matches!(op, PendingOp::Exit);
         inner.tasks[tid.index()].pending = Some(op);
-        inner.turn = Turn::Controller;
-        self.cv.notify_all();
-        loop {
-            if inner.abort {
-                drop(inner);
-                panic_abort();
-            }
-            if inner.turn == Turn::Task(tid.index()) {
-                break;
-            }
-            inner = self.wait(inner);
+        self.baton.hand_to(Turn::Controller);
+        drop(inner);
+        self.baton.wait_for(Turn::Task(tid.index()), None);
+        let mut inner = self.lock();
+        if inner.abort {
+            drop(inner);
+            panic_abort();
         }
         let op = inner.tasks[tid.index()]
             .pending
@@ -485,8 +594,7 @@ impl Execution {
         let fault = std::mem::take(&mut inner.tasks[tid.index()].fault);
         let out = apply_effect(&mut inner, tid, &op, fault);
         if is_exit {
-            inner.turn = Turn::Controller;
-            self.cv.notify_all();
+            self.baton.hand_to(Turn::Controller);
         }
         out
     }
@@ -494,16 +602,11 @@ impl Execution {
     /// Parks a freshly spawned task until its `Start` operation is
     /// scheduled. The parent already installed the pending op.
     fn park_initial(&self, tid: Tid) {
+        self.baton.wait_for(Turn::Task(tid.index()), None);
         let mut inner = self.lock();
-        loop {
-            if inner.abort {
-                drop(inner);
-                panic_abort();
-            }
-            if inner.turn == Turn::Task(tid.index()) {
-                break;
-            }
-            inner = self.wait(inner);
+        if inner.abort {
+            drop(inner);
+            panic_abort();
         }
         let op = inner.tasks[tid.index()]
             .pending
@@ -516,10 +619,6 @@ impl Execution {
     /// Records a task's unwinding (user panic or abort).
     fn handle_task_panic(&self, tid: Tid, payload: Box<dyn std::any::Any + Send>) {
         let mut inner = self.lock();
-        if !inner.tasks[tid.index()].finished {
-            inner.tasks[tid.index()].finished = true;
-            inner.alive -= 1;
-        }
         if !is_abort(&*payload) {
             if inner.outcome.is_none() {
                 inner.outcome = Some(ExecutionOutcome::AssertionFailure {
@@ -527,10 +626,17 @@ impl Execution {
                     message: payload_message(&*payload),
                 });
             }
-            inner.abort = true;
+            self.abort(&mut inner);
         }
-        inner.turn = Turn::Controller;
-        self.cv.notify_all();
+        if !inner.tasks[tid.index()].finished {
+            inner.tasks[tid.index()].finished = true;
+            inner.alive -= 1;
+            // Every unwind happens under an abort: the last task out
+            // hands the turn back to the draining controller.
+            if inner.alive == 0 {
+                self.baton.hand_to(Turn::Controller);
+            }
+        }
     }
 
     /// Registers a mutex, returning `(lock id, detector sync id)`.
@@ -611,8 +717,7 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::DataRace { description });
-                inner.abort = true;
-                self.cv.notify_all();
+                self.abort(&mut inner);
                 drop(inner);
                 panic_abort();
             }
@@ -874,4 +979,68 @@ pub(crate) fn spawn_task(body: Box<dyn FnOnce() + Send + 'static>) -> Tid {
         pool::run_on_worker(Box::new(move || task_main(exec, child, body)));
         child
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Runs `f` on its own thread; fails if it does not finish in time
+    /// (a lost wake-up hangs instead of failing).
+    fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(limit).expect("baton test hung");
+    }
+
+    #[test]
+    fn baton_ping_pong_finishes() {
+        const ROUNDS: usize = 10_000;
+        within(Duration::from_secs(60), || {
+            let baton = Arc::new(Baton::new());
+            let peer = {
+                let baton = Arc::clone(&baton);
+                std::thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        baton.wait_for(Turn::Task(0), None);
+                        baton.hand_to(Turn::Controller);
+                    }
+                })
+            };
+            for _ in 0..ROUNDS {
+                baton.hand_to(Turn::Task(0));
+                baton.wait_for(Turn::Controller, None);
+            }
+            peer.join().expect("peer thread panicked");
+        });
+    }
+
+    #[test]
+    fn wake_all_releases_every_parked_waiter() {
+        const WAITERS: usize = 4;
+        within(Duration::from_secs(60), || {
+            let baton = Arc::new(Baton::new());
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|i| {
+                    let baton = Arc::clone(&baton);
+                    std::thread::spawn(move || baton.wait_for(Turn::Task(i), None))
+                })
+                .collect();
+            // A waiter fills its slot right before it parks.
+            while baton.slots().iter().flatten().count() < WAITERS {
+                std::thread::yield_now();
+            }
+            baton.wake_all();
+            for waiter in waiters {
+                assert!(waiter.join().expect("waiter panicked"));
+            }
+            // The broadcast is for tasks: the controller still times out.
+            let deadline = Instant::now() + Duration::from_millis(10);
+            assert!(!baton.wait_for(Turn::Controller, Some(deadline)));
+        });
+    }
 }

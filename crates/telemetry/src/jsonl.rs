@@ -26,8 +26,10 @@ use icb_core::{
 ///
 /// Write errors are recorded in [`failed`](JsonlSink::failed) and
 /// subsequent events are dropped — telemetry must never abort a search.
-/// The stream is flushed on `search_finished`, on `search_aborted`, and
-/// on drop, so a run killed mid-search still leaves a readable log.
+/// The stream is flushed on `search_started`, `checkpoint_written`,
+/// `search_finished`, `search_aborted`, and on drop, so a run killed
+/// mid-search still leaves a readable log: once its first checkpoint
+/// is on disk, the log names the search it belongs to.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     /// `None` only after `into_inner` moved the writer out (the `Drop`
@@ -176,6 +178,7 @@ impl<W: Write> SearchObserver for JsonlSink<W> {
             json_string(strategy)
         );
         self.emit(&line);
+        self.flush();
     }
 
     fn wants_choice_points(&self) -> bool {
@@ -561,8 +564,10 @@ mod tests {
         let mut sink = JsonlSink::new(BufWriter::with_capacity(64 * 1024, buf.clone()));
         sink.search_started("icb");
         sink.execution_started(1);
-        // Nothing has reached the backing store yet (64 KiB buffer).
-        assert!(buf.0.lock().unwrap().is_empty());
+        // Only the flushed search-started line has reached the backing
+        // store (64 KiB buffer).
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text:?}");
         sink.search_aborted(AbortReason::FirstBug);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert!(text.lines().count() == 3, "abort must flush: {text:?}");
@@ -650,6 +655,11 @@ mod tests {
         let buf = Shared(Arc::new(Mutex::new(Vec::new())));
         let mut sink = JsonlSink::new(BufWriter::with_capacity(64 * 1024, buf.clone()));
         sink.search_started("icb");
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert!(
+            text.contains("\"event\":\"search-started\""),
+            "a log whose checkpoint is on disk must name its search: {text:?}"
+        );
         sink.checkpoint_written(10);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert!(
