@@ -1,11 +1,11 @@
 //! Benchmarks of the search strategies: executions per second and cost
 //! per explored execution for ICB against the baselines, on the paper's
 //! two smallest benchmarks — plus the telemetry overhead check (a
-//! `NoopObserver` search against one carrying a full `MetricsRecorder`).
+//! `NoopObserver` search against one streaming JSONL into a null writer).
 
 use icb_bench::harness::Harness;
 use icb_core::search::{Search, SearchConfig, Strategy};
-use icb_telemetry::MetricsRecorder;
+use icb_telemetry::JsonlSink;
 use icb_workloads::bluetooth::{bluetooth_model, BluetoothVariant};
 use icb_workloads::wsq::{wsq_model, WsqVariant};
 
@@ -85,8 +85,9 @@ fn icb_exhaustive_by_bound(c: &mut Harness) {
 }
 
 /// The tentpole's zero-cost claim: a search driven through the
-/// `NoopObserver` must cost the same as the plain `search()` path, and a
-/// full `MetricsRecorder` should stay within a few percent.
+/// `NoopObserver` must cost the same as the plain `search()` path, and
+/// encoding every event as JSONL (into `io::sink()`) is the observer
+/// cost on top.
 fn observer_overhead(c: &mut Harness) {
     let mut group = c.group("observer_overhead");
     group.sample_size(10);
@@ -95,14 +96,13 @@ fn observer_overhead(c: &mut Harness) {
     group.bench_function("noop", || {
         Search::over(&model).config(config.clone()).run().unwrap()
     });
-    group.bench_function("metrics_recorder", || {
-        let mut metrics = MetricsRecorder::new();
+    group.bench_function("jsonl_sink", || {
+        let mut sink = JsonlSink::new(std::io::sink());
         Search::over(&model)
             .config(config.clone())
-            .observer(&mut metrics)
+            .observer(&mut sink)
             .run()
-            .unwrap();
-        metrics
+            .unwrap()
     });
     group.finish();
 }

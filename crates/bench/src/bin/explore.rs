@@ -27,13 +27,13 @@
 //!
 //! `--telemetry jsonl:<path>` streams every search event as one JSON
 //! object per line to `<path>`; `--progress` prints a rate-limited live
-//! status line (with a Theorem-1 ETA) to stderr; `--profile` attaches
-//! the exploration profiler and prints a paper-style report (per-bound
-//! results, hottest preemption sites, phase timing) when the search
-//! ends. All three can be combined — with `--profile`, the JSONL stream
-//! also carries the per-step `choice-point` / `preemption-taken` /
-//! `phase-time` events, so `explore report` can rebuild the same tables
-//! offline.
+//! status line (with a Theorem-1 ETA) to stderr; `--profile` folds the
+//! run's JSONL event stream (with the per-step `choice-point` /
+//! `preemption-taken` / `phase-time` events) into a paper-style report
+//! (per-bound results, hottest preemption sites, phase timing) and
+//! prints it when the search ends. All three can be combined — with
+//! `--profile`, the `--telemetry` stream carries the per-step events
+//! too, so `explore report` on it prints the same tables.
 //!
 //! `--serve-metrics <addr>` attaches the live metrics registry to the
 //! search and serves it as a Prometheus text-exposition page at
@@ -89,7 +89,7 @@
 //! Perfetto / `chrome://tracing`), and `EXPLANATION.md` tying them
 //! together with the nearest-passing-schedule diff. Every artifact is a
 //! pure function of the witness, so `--jobs N` produces byte-identical
-//! bundles. `--timings` adds the profiler's wall-clock phase spans to
+//! bundles. `--timings` adds the search's wall-clock phase spans to
 //! the Chrome trace (opting out of byte-determinism).
 //!
 //! Examples:
@@ -121,8 +121,8 @@ use icb_core::{
 use icb_race::CausalGraph;
 use icb_telemetry::export::chrome::ChromeTrace;
 use icb_telemetry::{
-    parse_exposition, render_markdown, render_text, scrape, series_value, ExplorationProfiler,
-    JsonlSink, MetricsServer, MultiObserver, ProgressReporter, RunReport,
+    parse_exposition, render_markdown, render_text, scrape, series_value, JsonlSink, MetricsServer,
+    MultiObserver, ProgressReporter, ReportBuilder, RunReport,
 };
 use icb_workloads::registry::{all_benchmarks, program_identity, AnyProgram, BenchmarkInfo};
 
@@ -253,6 +253,13 @@ fn open_jsonl(
     }
 }
 
+/// The `--profile` observer: the JSONL event stream, profile events
+/// included, folded in memory into the report `explore report` would
+/// print for the same log.
+fn profile_sink() -> JsonlSink<ReportBuilder> {
+    JsonlSink::new(ReportBuilder::new()).with_profile_events(true)
+}
+
 /// Drains a finished JSONL sink, warning if events were lost.
 fn close_jsonl(sink: JsonlSink<BufWriter<std::fs::File>>) {
     if sink.failed() {
@@ -366,11 +373,11 @@ fn open_metrics(
 }
 
 /// The observer bundle shared by `run` and `resume`: an optional JSONL
-/// event stream, a live progress line, and the exploration profiler.
+/// event stream, a live progress line, and the `--profile` report fold.
 struct Observers {
     jsonl: Option<JsonlSink<BufWriter<std::fs::File>>>,
     progress: Option<ProgressReporter<std::io::Stderr>>,
-    profiler: Option<ExplorationProfiler>,
+    profile: Option<JsonlSink<ReportBuilder>>,
 }
 
 impl Observers {
@@ -400,7 +407,7 @@ impl Observers {
                     }
                 }
             }),
-            profiler: profile.then(ExplorationProfiler::new),
+            profile: profile.then(profile_sink),
         })
     }
 
@@ -412,13 +419,13 @@ impl Observers {
         if let Some(reporter) = self.progress.as_mut() {
             observers.push(reporter);
         }
-        if let Some(p) = self.profiler.as_mut() {
-            observers.push(p);
+        if let Some(sink) = self.profile.as_mut() {
+            observers.push(sink);
         }
         observers
     }
 
-    /// Flushes the JSONL stream and prints the report, the profiler
+    /// Flushes the JSONL stream and prints the report, the `--profile`
     /// tables, and — when a bug was found — the witness.
     fn finish(
         self,
@@ -435,9 +442,10 @@ impl Observers {
             close_jsonl(sink);
         }
         println!("{report}");
-        if let Some(profiler) = &self.profiler {
+        if let Some(sink) = self.profile {
+            let run = sink.into_inner().finish()?;
             println!();
-            print!("{}", render_text(&[profiler.run_report()], top));
+            print!("{}", render_text(&[run], top));
         }
         if let Some(bug) = report.first_bug() {
             println!();
@@ -858,7 +866,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let title = format!("{} --bug {}", bench.name, bug_name);
 
     let registry = MetricsRegistry::new();
-    let mut profiler = ExplorationProfiler::new();
+    // Only `--timings` reads the search's phase totals.
+    let mut profile = args.iter().any(|a| a == "--timings").then(profile_sink);
     let (witness_schedule, reported_preemptions) = match flag_value(args, "--from") {
         Some(path) => {
             let text =
@@ -879,7 +888,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             let strategy = parse_strategy(strat)?;
             let jobs = parse_jobs(args)?;
             println!("exploring {title} with {strat}…");
-            let report = Search::over(&program)
+            let mut search = Search::over(&program)
                 .strategy(strategy)
                 .config(SearchConfig {
                     max_executions: Some(budget),
@@ -888,10 +897,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                     stop_on_first_bug: true,
                     ..SearchConfig::default()
                 })
-                .jobs(jobs)
-                .observer(&mut profiler)
-                .run()
-                .map_err(|e| e.to_string())?;
+                .jobs(jobs);
+            if let Some(sink) = profile.as_mut() {
+                search = search.observer(sink);
+            }
+            let report = search.run().map_err(|e| e.to_string())?;
             let bug = report
                 .first_bug()
                 .ok_or_else(|| format!("no bug found in {} executions", report.executions))?;
@@ -924,8 +934,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 
     let graph = CausalGraph::from_execution(&witness.trace, &witness.outcome);
     let mut chrome = ChromeTrace::new().add_execution(&witness.trace, &witness.outcome);
-    if args.iter().any(|a| a == "--timings") {
-        chrome = chrome.add_phases(&profiler.phase_totals());
+    if let Some(sink) = profile {
+        // With `--from` no search ran: the fold saw no events and the
+        // phase totals stay zero.
+        let phases = sink.into_inner().finish().map(|run| run.phases);
+        chrome = chrome.add_phases(&phases.unwrap_or_default());
     }
     let mut explanation = witness.to_markdown(&title);
     explanation.push_str(

@@ -4,19 +4,18 @@
 //! `--jobs $(nproc)`, and appends the result to
 //! `results/BENCH_parallel.json`.
 //!
-//! Rates come from a [`MetricsRecorder`] attached to each run, so the
-//! numbers are the same ones the figure binaries use. The sanity checks
-//! assert the determinism contract (identical order-independent reports)
-//! before any rate is reported.
+//! Rates are `report.executions` over the run's wall time. The sanity
+//! checks assert the determinism contract (identical order-independent
+//! reports) before any rate is reported.
 //!
 //! ```sh
 //! cargo run --release -p icb-bench --bin parallel_bench
 //! ```
 
 use std::io::Write;
+use std::time::Instant;
 
 use icb_core::search::{Search, SearchConfig, SearchReport};
-use icb_telemetry::MetricsRecorder;
 use icb_workloads::registry::all_benchmarks;
 
 const BOUND: usize = 2;
@@ -27,18 +26,18 @@ fn measure(jobs: usize) -> (SearchReport, f64, f64) {
         .find(|b| b.name == "Bluetooth")
         .expect("Bluetooth benchmark");
     let program = (bench.correct)();
-    let mut metrics = MetricsRecorder::new();
+    let started = Instant::now();
     let report = Search::over(&program)
         .config(SearchConfig {
             preemption_bound: Some(BOUND),
             ..SearchConfig::default()
         })
         .jobs(jobs)
-        .observer(&mut metrics)
         .run()
         .expect("search");
-    let rate = metrics.executions_per_sec().expect("finished run");
-    (report, metrics.elapsed().as_secs_f64(), rate)
+    let secs = started.elapsed().as_secs_f64();
+    let rate = report.executions as f64 / secs;
+    (report, secs, rate)
 }
 
 fn main() {

@@ -168,10 +168,7 @@ pub fn fig2() {
     ];
     let curves: Vec<(String, Vec<(usize, usize)>)> = strategies
         .iter()
-        .map(|&s| {
-            let (_, metrics) = run_timed(s, &config, 1, &model);
-            (s.label(), metrics.coverage_curve().to_vec())
-        })
+        .map(|&s| (s.label(), run_timed(s, &config, 1, &model).coverage_curve))
         .collect();
     print_curves_csv(&curves, 40);
 }
@@ -238,10 +235,7 @@ fn coverage_growth(
     }
     let curves: Vec<(String, Vec<(usize, usize)>)> = strategies
         .iter()
-        .map(|&s| {
-            let (_, metrics) = run_timed(s, &config, 1, program);
-            (s.label(), metrics.coverage_curve().to_vec())
-        })
+        .map(|&s| (s.label(), run_timed(s, &config, 1, program).coverage_curve))
         .collect();
     print_curves_csv(&curves, 40);
 }

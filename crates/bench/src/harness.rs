@@ -9,8 +9,8 @@
 //!
 //! Methodology per benchmark:
 //!
-//! 1. warm up for [`WARMUP`] (at least one call);
-//! 2. calibrate an iteration count so one sample lasts ≥ [`MIN_SAMPLE`];
+//! 1. warm up for `WARMUP` (at least one call);
+//! 2. calibrate an iteration count so one sample lasts ≥ `MIN_SAMPLE`;
 //! 3. take `sample_size` samples of that many iterations;
 //! 4. report min / median / mean ns per iteration.
 //!

@@ -20,9 +20,10 @@
 pub mod experiments;
 pub mod harness;
 
+use std::time::Instant;
+
 use icb_core::search::{Search, SearchConfig, SearchReport, Strategy};
 use icb_core::ControlledProgram;
-use icb_telemetry::MetricsRecorder;
 
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
@@ -45,34 +46,34 @@ pub fn banner(title: &str) {
     println!();
 }
 
-/// Runs a strategy against a program with a [`MetricsRecorder`]
-/// attached, logging a one-line summary (from the recorder, not ad-hoc
-/// timers) to stderr. The figures draw their curves from the returned
-/// recorder, so what they plot is exactly what the telemetry layer saw.
+/// Runs a strategy against a program, logging a one-line summary to
+/// stderr. The figures draw their curves from the returned report's
+/// `coverage_curve`: one point per execution at `jobs == 1` with the
+/// default `coverage_stride`.
 pub fn run_timed(
     strategy: Strategy,
     config: &SearchConfig,
     jobs: usize,
     program: &(dyn ControlledProgram + Sync),
-) -> (SearchReport, MetricsRecorder) {
-    let mut metrics = MetricsRecorder::new();
+) -> SearchReport {
+    let started = Instant::now();
     let report = Search::over(program)
         .strategy(strategy)
         .config(config.clone())
         .jobs(jobs)
-        .observer(&mut metrics)
         .run()
         .expect("experiment configurations are valid");
+    let elapsed = started.elapsed();
     eprintln!(
         "  [{}] {} executions ({:.0}/s), {} states, completed={} in {:.2?}",
         report.strategy,
-        metrics.executions(),
-        metrics.executions_per_sec().unwrap_or(0.0),
-        metrics.distinct_states(),
+        report.executions,
+        report.executions as f64 / elapsed.as_secs_f64(),
+        report.distinct_states,
         report.completed,
-        metrics.elapsed()
+        elapsed
     );
-    (report, metrics)
+    report
 }
 
 /// Downsamples a coverage curve to at most `points` samples, keeping the

@@ -188,9 +188,9 @@ impl CacheStore {
         }
     }
 
-    /// The error of the last failed persist, if any. [`certify`]
-    /// (ExplorationCache::certify) cannot return one through the trait,
-    /// so callers that care (the CLI) collect it here.
+    /// The error of the last failed persist, if any.
+    /// [`certify`](ExplorationCache::certify) cannot return one through
+    /// the trait, so callers that care (the CLI) collect it here.
     pub fn last_persist_error(&self) -> Option<CacheError> {
         self.persist_error.lock().unwrap().clone()
     }

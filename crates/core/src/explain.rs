@@ -6,12 +6,12 @@
 //! preemptions. This module turns that in-memory claim into a durable
 //! artifact: an [`ExplainedWitness`] bundles the shrunk schedule (via
 //! [`shrink::minimize_witness`](crate::shrink::minimize_witness)), the
-//! fully attributed replay trace (per-step [`SiteId`] and enabled-set
-//! history), and the *nearest passing schedule* — the execution obtained
-//! by flipping the witness's last divergence point (its final preemption,
-//! or its final injected fault when the fault-bound search found the
-//! bug), which shows exactly where the passing and failing worlds
-//! diverge.
+//! fully attributed replay trace (per-step [`SiteId`](crate::SiteId) and
+//! enabled-set history), and the *nearest passing schedule* — the
+//! execution obtained by flipping the witness's last divergence point
+//! (its final preemption, or its final injected fault when the
+//! fault-bound search found the bug), which shows exactly where the
+//! passing and failing worlds diverge.
 //!
 //! Everything here is a pure function of the program and the schedule:
 //! replays are deterministic, renderings use no wall clock, and the JSON

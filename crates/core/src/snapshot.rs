@@ -776,7 +776,7 @@ impl Checkpointer {
 /// searches.
 ///
 /// The handler only sets an atomic flag; checkpointing strategies poll
-/// [`interrupted`] at execution boundaries, write a final snapshot and
+/// [`interrupted`](interrupt::interrupted) at execution boundaries, write a final snapshot and
 /// halt with [`AbortReason::Interrupted`](crate::AbortReason). The
 /// workspace links no signal-handling crate, so the handler is installed
 /// through the C `signal` function that libc already provides to every

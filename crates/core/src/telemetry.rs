@@ -15,8 +15,8 @@
 //! `execution_finished` pair per execution) so the overhead is
 //! unmeasurable next to the execution itself.
 //!
-//! Concrete observers (an in-memory metrics recorder, a JSONL event
-//! sink, a rate-limited progress reporter) live in the `icb-telemetry`
+//! Concrete observers (a JSONL event sink and the run-report fold over
+//! it, a rate-limited progress reporter) live in the `icb-telemetry`
 //! crate; this module only defines the interface so that `icb-core`,
 //! `icb-runtime` and `icb-race` can emit events without depending on any
 //! sink implementation.
@@ -50,7 +50,7 @@ pub struct ResumeInfo {
 }
 
 /// A program location / synchronization-operation label, the unit of
-/// attribution for the exploration profiler.
+/// attribution for the run report's hottest-sites table.
 ///
 /// Sites are resolved by the program host at every scheduling point —
 /// the runtime engine labels the pending synchronization operation of
@@ -197,7 +197,7 @@ impl std::fmt::Display for Phase {
 ///
 /// Reported through [`SearchObserver::search_aborted`] so a consumer can
 /// distinguish a timed-out search from an exhausted one — the
-/// [`SearchReport`](crate::search::SearchReport) of a timed-out search
+/// [`SearchReport`] of a timed-out search
 /// additionally has `truncated` set, because its coverage numbers are
 /// lower bounds only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -214,7 +214,7 @@ pub struct TraceEntry {
     /// The program location / sync-op label of the operation the chosen
     /// thread executed at this step, as resolved by the program host
     /// ([`SiteId::UNKNOWN`] for hosts that do not resolve sites). This
-    /// is what the exploration profiler attributes preemptions to.
+    /// is what the run report attributes preemptions to.
     pub site: SiteId,
     /// Whether a fault was injected into the operation executed at this
     /// step (the scheduler answered `true` at a fallible operation: a

@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON export: any execution — and the profiler's
+//! Chrome trace-event JSON export: any execution — and a search's
 //! phase spans — as a timeline loadable in Perfetto or
 //! `chrome://tracing`.
 //!
@@ -113,7 +113,7 @@ impl ChromeTrace {
         self
     }
 
-    /// Adds the profiler's wall-clock phase totals as back-to-back
+    /// Adds a run report's wall-clock phase totals as back-to-back
     /// slices on a dedicated `search phases` process (`pid` 1).
     ///
     /// Unlike [`add_execution`](ChromeTrace::add_execution) this encodes

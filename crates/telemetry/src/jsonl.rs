@@ -18,11 +18,11 @@ use icb_core::{
 /// nanoseconds, schedules as arrays of thread ids, preemption sites as
 /// their [`SiteId`] display strings.
 ///
-/// Profiler events (choice points, preemptions taken, phase times) are
+/// Profile events (choice points, preemptions taken, phase times) are
 /// off by default — they multiply the line count by the execution
-/// length. Enable them with [`with_profile_events`]
-/// (JsonlSink::with_profile_events); `explore report` then reconstructs
-/// site attribution from the stream.
+/// length. Enable them with
+/// [`with_profile_events`](JsonlSink::with_profile_events); `explore
+/// report` then reconstructs site attribution from the stream.
 ///
 /// Write errors are recorded in [`failed`](JsonlSink::failed) and
 /// subsequent events are dropped — telemetry must never abort a search.
@@ -53,7 +53,7 @@ impl<W: Write> JsonlSink<W> {
         }
     }
 
-    /// Enables (or disables) the per-step profiler events:
+    /// Enables (or disables) the per-step profile events:
     /// `choice-point`, `preemption-taken`, and `phase-time` lines.
     pub fn with_profile_events(mut self, profile: bool) -> Self {
         self.profile = profile;

@@ -3,11 +3,6 @@
 //! `icb-core` defines the observer *interface* (`icb_core::telemetry`);
 //! this crate ships the sinks that make it useful:
 //!
-//! * [`MetricsRecorder`] — in-memory counters and histograms: executions
-//!   per second, steps-per-execution distribution, preemption
-//!   distribution, work-queue high-water mark, per-bound wall time and
-//!   the coverage curve. The benchmark harness sources its figures from
-//!   here instead of re-tallying reports.
 //! * [`JsonlSink`] — streams every event as one JSON object per line to
 //!   any `io::Write`, for offline analysis of long searches.
 //! * [`ProgressReporter`] — rate-limited live status line (current
@@ -22,13 +17,17 @@
 //!   drivers, rendered as a Prometheus text-exposition page and served
 //!   over a dependency-free HTTP listener (`explore run
 //!   --serve-metrics`, polled by `explore top`).
-//! * [`ExplorationProfiler`] — per-site preemption attribution, per-bound
-//!   coverage rows, and wall-clock phase totals, aggregated live into a
-//!   [`RunReport`].
-//! * [`RunReport`] — the plain-data run summary behind `explore report`:
-//!   built live by the profiler or reconstructed from a [`JsonlSink`] log
-//!   via [`RunReport::from_jsonl`], rendered with [`render_text`] /
-//!   [`render_markdown`] into the paper's Figure 7/8-style tables.
+//! * [`RunReport`] — the plain-data run summary behind `explore report`
+//!   and `explore run --profile`: per-bound rows, per-site preemption
+//!   attribution, and wall-clock phase totals. The one way to build it
+//!   is the [`ReportBuilder`] fold of a [`JsonlSink`] event stream —
+//!   offline via [`RunReport::from_jsonl`], or live with the builder as
+//!   the sink's writer. [`render_text`] / [`render_markdown`] render it
+//!   into the paper's Figure 7/8-style tables.
+//!
+//! Figure curves (coverage growth per execution) come from
+//! [`SearchReport::coverage_curve`](icb_core::search::SearchReport::coverage_curve),
+//! not from an observer.
 //!
 //! [`SearchObserver`]: icb_core::SearchObserver
 
@@ -39,9 +38,7 @@ mod event_log;
 pub mod export;
 mod http;
 mod jsonl;
-mod metrics;
 mod multi;
-mod profiler;
 mod progress;
 pub mod registry;
 mod report;
@@ -50,12 +47,10 @@ pub use event_log::{Event, EventLog};
 pub use export::render_prometheus;
 pub use http::{parse_exposition, scrape, series_value, MetricsServer};
 pub use jsonl::JsonlSink;
-pub use metrics::{Histogram, MetricsRecorder};
 pub use multi::MultiObserver;
-pub use profiler::ExplorationProfiler;
 pub use progress::ProgressReporter;
 pub use registry::{MetricsBridge, MetricsRegistry, MetricsSnapshot, WorkerStats};
 pub use report::{
-    render_markdown, render_text, BoundRow, PhaseTotals, RunReport, SiteRow, ThroughputSample,
-    WorkerUtilRow,
+    render_markdown, render_text, BoundRow, PhaseTotals, ReportBuilder, RunReport, SiteRow,
+    ThroughputSample, WorkerUtilRow,
 };

@@ -3,9 +3,10 @@
 //! The registry type itself lives in `icb_core::metrics` so the search
 //! drivers, the [`Frontier`](icb_core::search::Frontier) and the cache
 //! table can feed it without a dependency on this crate. The telemetry
-//! crate is where the registry becomes *visible*: [`render_prometheus`]
-//! (crate::render_prometheus) turns it into a text-exposition page and
-//! [`MetricsServer`](crate::MetricsServer) serves that page over HTTP.
+//! crate is where the registry becomes *visible*:
+//! [`render_prometheus`](crate::render_prometheus) turns it into a
+//! text-exposition page and [`MetricsServer`](crate::MetricsServer)
+//! serves that page over HTTP.
 //!
 //! A typical wiring, mirroring what `explore run --serve-metrics` does:
 //!

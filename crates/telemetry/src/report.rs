@@ -1,23 +1,26 @@
-//! Paper-style run reports: reconstruction from JSONL telemetry and
-//! text/Markdown rendering.
+//! Paper-style run reports: the JSONL fold and text/Markdown rendering.
 //!
 //! A [`RunReport`] is the plain-data summary of one search run — totals,
 //! per-bound rows (the shape of the paper's Figure 7), per-site
-//! preemption attribution, and wall-clock phase totals. It can be built
-//! two ways:
+//! preemption attribution, and wall-clock phase totals. It is built one
+//! way only: a [`ReportBuilder`] folds the JSONL event stream written by
+//! [`JsonlSink`](crate::JsonlSink).
 //!
-//! * live, by attaching an
-//!   [`ExplorationProfiler`](crate::ExplorationProfiler) to the search;
-//! * after the fact, by [`RunReport::from_jsonl`] over a log written by
-//!   [`JsonlSink`](crate::JsonlSink) — including logs of runs that were
-//!   aborted or killed mid-search.
+//! * After the fact, [`RunReport::from_jsonl`] feeds a recorded log to
+//!   the builder — including logs of runs that were aborted or killed
+//!   mid-search.
+//! * Live, `JsonlSink::new(ReportBuilder::new()).with_profile_events(true)`
+//!   attached to the search folds the same lines as they are written, so
+//!   `explore run --profile` prints exactly what `explore report` prints
+//!   for the same run's log.
 //!
 //! [`render_text`] and [`render_markdown`] turn one or more reports into
 //! the tables `explore report` prints; multiple reports additionally get
 //! a strategy-comparison table (the shape of Figure 8).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Display;
+use std::io;
 use std::time::Duration;
 
 /// One preemption bound's results — the row shape of the paper's
@@ -37,7 +40,7 @@ pub struct BoundRow {
 }
 
 /// Exploration counters attributed to one program site.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteRow {
     /// The site's display label (see [`icb_core::SiteId`]).
     pub site: String,
@@ -70,15 +73,6 @@ impl PhaseTotals {
     /// Sum of the three phases.
     pub fn sum(&self) -> Duration {
         self.replay + self.selection + self.race_detection
-    }
-
-    /// Adds `elapsed` to the phase's total.
-    pub fn add(&mut self, phase: icb_core::Phase, elapsed: Duration) {
-        match phase {
-            icb_core::Phase::Replay => self.replay += elapsed,
-            icb_core::Phase::Selection => self.selection += elapsed,
-            icb_core::Phase::RaceDetection => self.race_detection += elapsed,
-        }
     }
 }
 
@@ -120,7 +114,7 @@ impl WorkerUtilRow {
 }
 
 /// Everything `explore report` knows about one run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Strategy label (`icb`, `dfs`, `db:40`, …).
     pub strategy: String,
@@ -173,57 +167,48 @@ pub struct RunReport {
     pub worker_utilization: Vec<WorkerUtilRow>,
 }
 
-/// Incremental per-site attribution, shared between the live profiler
-/// (keyed by [`icb_core::SiteId`]) and JSONL reconstruction (keyed by
-/// the site display string).
-#[derive(Clone, Debug)]
-pub(crate) struct Attribution<K: Ord> {
-    sites: BTreeMap<K, Counters>,
-    exec_sites: BTreeSet<K>,
-    exec_preemptions: Vec<K>,
+/// Incremental per-site attribution, keyed by the site's display
+/// string (see [`icb_core::SiteId`]).
+#[derive(Clone, Debug, Default)]
+struct Attribution {
+    sites: BTreeMap<String, SiteRow>,
+    exec_sites: BTreeSet<String>,
+    exec_preemptions: Vec<String>,
     last_states: usize,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    choices: usize,
-    executions: usize,
-    preemptions: usize,
-    faults: usize,
-    states_unlocked: usize,
-}
-
-impl<K: Ord + Clone> Attribution<K> {
-    pub(crate) fn new() -> Self {
-        Attribution {
-            sites: BTreeMap::new(),
-            exec_sites: BTreeSet::new(),
-            exec_preemptions: Vec::new(),
-            last_states: 0,
-        }
+impl Attribution {
+    /// The row of `site`, registered on first sight.
+    fn row(&mut self, site: &str) -> &mut SiteRow {
+        self.sites
+            .entry(site.to_owned())
+            .or_insert_with(|| SiteRow {
+                site: site.to_owned(),
+                ..SiteRow::default()
+            })
     }
 
     /// A scheduling choice executed an operation of `site`.
-    pub(crate) fn choice(&mut self, site: K) {
-        self.sites.entry(site.clone()).or_default().choices += 1;
-        self.exec_sites.insert(site);
+    fn choice(&mut self, site: &str) {
+        self.row(site).choices += 1;
+        self.exec_sites.insert(site.to_owned());
     }
 
     /// A preemption interrupted an operation of `site`.
-    pub(crate) fn preemption(&mut self, site: K) {
-        self.sites.entry(site.clone()).or_default().preemptions += 1;
-        self.exec_preemptions.push(site);
+    fn preemption(&mut self, site: &str) {
+        self.row(site).preemptions += 1;
+        self.exec_preemptions.push(site.to_owned());
     }
 
     /// A fault was injected at an operation of `site`.
-    pub(crate) fn fault(&mut self, site: K) {
-        self.sites.entry(site.clone()).or_default().faults += 1;
-        self.exec_sites.insert(site);
+    fn fault(&mut self, site: &str) {
+        self.row(site).faults += 1;
+        self.exec_sites.insert(site.to_owned());
     }
 
     /// Closes the current execution: attributes it to every site it
     /// touched, and credits its coverage delta to the sites it preempted.
-    pub(crate) fn execution_finished(&mut self, distinct_states: usize) {
+    fn execution_finished(&mut self, distinct_states: usize) {
         let delta = distinct_states.saturating_sub(self.last_states);
         self.last_states = distinct_states;
         for site in std::mem::take(&mut self.exec_sites) {
@@ -240,50 +225,78 @@ impl<K: Ord + Clone> Attribution<K> {
         }
     }
 
-    /// All sites as rows, hottest (most preempted, then most chosen)
-    /// first.
-    pub(crate) fn rows(&self) -> Vec<SiteRow>
-    where
-        K: Display,
-    {
-        let mut rows: Vec<SiteRow> = self
-            .sites
-            .iter()
-            .map(|(site, c)| SiteRow {
-                site: site.to_string(),
-                choices: c.choices,
-                executions: c.executions,
-                preemptions: c.preemptions,
-                faults: c.faults,
-                states_unlocked: c.states_unlocked,
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.preemptions
-                .cmp(&a.preemptions)
-                .then(b.faults.cmp(&a.faults))
-                .then(b.choices.cmp(&a.choices))
-                .then(a.site.cmp(&b.site))
-        });
+    /// All sites as rows, hottest first.
+    fn rows(self) -> Vec<SiteRow> {
+        let mut rows: Vec<SiteRow> = self.sites.into_values().collect();
+        sort_hottest_first(&mut rows);
         rows
     }
 }
 
+/// Orders site rows hottest first: most preempted, then most faulted,
+/// then most chosen, ties broken by the site label.
+fn sort_hottest_first(rows: &mut [SiteRow]) {
+    rows.sort_by(|a, b| {
+        b.preemptions
+            .cmp(&a.preemptions)
+            .then(b.faults.cmp(&a.faults))
+            .then(b.choices.cmp(&a.choices))
+            .then(a.site.cmp(&b.site))
+    });
+}
+
 // ---------------------------------------------------------------------
-// JSONL reconstruction
+// The JSONL fold
 // ---------------------------------------------------------------------
 
-/// Extracts the raw (unquoted, unescaped) value of `"key":` from a flat
-/// JSON object line, when the value is a string literal.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+/// The raw value of the top-level `"key":` of a flat JSON object line —
+/// the only shape the JSONL sink writes: string, number, `true`,
+/// `false`, `null` and flat-array values.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let mut rest = line.strip_prefix('{')?;
+    loop {
+        let (name, after) = rest.strip_prefix('"')?.split_once('"')?;
+        let value = after.strip_prefix(':')?;
+        let len = value_len(value);
+        if name == key {
+            return Some(&value[..len]);
+        }
+        rest = value[len..].strip_prefix(',')?;
+    }
+}
+
+/// The length of the JSON value that `s` starts with (all of `s` when
+/// the line is torn inside it).
+fn value_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    match bytes.first() {
+        Some(b'"') => {
+            let mut i = 1;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'\\' => i += 2,
+                    b'"' => return i + 1,
+                    _ => i += 1,
+                }
+            }
+            s.len()
+        }
+        Some(b'[') => s.find(']').map_or(s.len(), |i| i + 1),
+        _ => s.find([',', '}']).unwrap_or(s.len()),
+    }
+}
+
+/// The unescaped value of `"key":` when it is a string literal; borrows
+/// from `line` unless the value has escapes.
+fn field_str<'a>(line: &'a str, key: &str) -> Option<Cow<'a, str>> {
+    let body = field(line, key)?.strip_prefix('"')?.strip_suffix('"')?;
+    if !body.contains('\\') {
+        return Some(Cow::Borrowed(body));
+    }
     let mut out = String::new();
-    let mut chars = rest.chars();
+    let mut chars = body.chars();
     while let Some(c) = chars.next() {
         match c {
-            '"' => return Some(out),
             '\\' => match chars.next()? {
                 'n' => out.push('\n'),
                 'r' => out.push('\r'),
@@ -298,31 +311,23 @@ fn field_str(line: &str, key: &str) -> Option<String> {
             c => out.push(c),
         }
     }
-    None
+    Some(Cow::Owned(out))
 }
 
-/// Extracts the value of `"key":` when it is an unsigned integer.
-fn field_u128(line: &str, key: &str) -> Option<u128> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
+/// The value of `"key":` when it is an unsigned integer.
 fn field_usize(line: &str, key: &str) -> Option<usize> {
-    field_u128(line, key).map(|v| v as usize)
+    field(line, key)?.parse().ok()
 }
 
-/// Extracts the value of `"key":` when it is a flat array of unsigned
-/// integers (`"key":[1,2,3]`).
+/// The value of `"key":`, an integer count of nanoseconds, as a duration.
+fn field_nanos(line: &str, key: &str) -> Option<Duration> {
+    field(line, key)?.parse().ok().map(Duration::from_nanos)
+}
+
+/// The value of `"key":` when it is a flat array of unsigned integers
+/// (`"key":[1,2,3]`).
 fn field_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let end = start + line[start..].find(']')?;
-    let body = &line[start..end];
+    let body = field(line, key)?.strip_prefix('[')?.strip_suffix(']')?;
     if body.trim().is_empty() {
         return Some(Vec::new());
     }
@@ -330,199 +335,260 @@ fn field_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
 }
 
 fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    if line[start..].starts_with("true") {
-        Some(true)
-    } else if line[start..].starts_with("false") {
-        Some(false)
-    } else {
-        None
+    field(line, key)?.parse().ok()
+}
+
+/// Folds the JSONL event log written by [`JsonlSink`](crate::JsonlSink)
+/// into a [`RunReport`], one line at a time.
+///
+/// Write the log into the builder — it implements [`io::Write`],
+/// buffering bytes up to each `\n` — and call
+/// [`finish`](ReportBuilder::finish). Lines that are not recognized
+/// events are skipped. Wrapped in a sink, it folds a live search:
+///
+/// ```
+/// use icb_core::search::Search;
+/// use icb_telemetry::{JsonlSink, ReportBuilder};
+/// # use icb_workloads::bluetooth::{bluetooth_model, BluetoothVariant};
+/// # let program = bluetooth_model(BluetoothVariant::Fixed, 2);
+/// let mut sink = JsonlSink::new(ReportBuilder::new()).with_profile_events(true);
+/// let report = Search::over(&program).observer(&mut sink).run().unwrap();
+/// let run = sink.into_inner().finish().unwrap();
+/// assert_eq!(run.executions, report.executions);
+/// ```
+#[derive(Debug, Default)]
+pub struct ReportBuilder {
+    report: RunReport,
+    attribution: Attribution,
+    started: bool,
+    finished: bool,
+    /// Bytes of the current line not yet ended by a `\n`.
+    partial: Vec<u8>,
+}
+
+impl ReportBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        ReportBuilder::default()
+    }
+
+    /// Finishes the fold.
+    ///
+    /// A log that does not end in `\n` (a killed run's) has its last
+    /// partial line folded too, as [`str::lines`] would yield it. Totals
+    /// of a log cut short fall back to the per-execution events seen.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the log contains no `search-started` event
+    /// — i.e. it is not a JSONL telemetry log at all.
+    pub fn finish(mut self) -> Result<RunReport, String> {
+        let partial = std::mem::take(&mut self.partial);
+        if !partial.is_empty() {
+            self.fold(&partial);
+        }
+        if !self.started {
+            return Err("not a telemetry log: no search-started event".to_string());
+        }
+        let mut report = self.report;
+        if !self.finished && report.aborted.is_none() {
+            report.aborted = Some("log ends mid-run".to_string());
+        }
+        report.sites = self.attribution.rows();
+        Ok(report)
+    }
+
+    /// Folds one line (without its `\n`) into the report.
+    fn fold(&mut self, line: &[u8]) {
+        let line = String::from_utf8_lossy(line);
+        let Some(event) = field_str(&line, "event") else {
+            return;
+        };
+        let report = &mut self.report;
+        match event.as_ref() {
+            "search-started" => {
+                self.started = true;
+                if let Some(s) = field_str(&line, "strategy") {
+                    report.strategy = s.into_owned();
+                }
+            }
+            "execution-finished" => {
+                if let Some(i) = field_usize(&line, "index") {
+                    report.executions = report.executions.max(i);
+                }
+                let states = field_usize(&line, "distinct_states").unwrap_or(0);
+                report.distinct_states = report.distinct_states.max(states);
+                if let Some(outcome) = field_str(&line, "outcome") {
+                    match outcome.as_ref() {
+                        // Non-bug outcomes: normal termination, the
+                        // livelock guards, and infrastructure failures
+                        // (divergence is quarantined, not reported as a
+                        // program bug).
+                        "terminated" | "step-limit-exceeded" | "replay-divergence" => {}
+                        "watchdog-timeout" => report.watchdog_trips += 1,
+                        _ => report.buggy_executions += 1,
+                    }
+                }
+                self.attribution.execution_finished(states);
+            }
+            "trace-quarantined" => {
+                report.quarantined += 1;
+            }
+            "checkpoint-written" => {
+                report.checkpoints += 1;
+            }
+            "search-resumed" => {
+                report.resumed_from = field_usize(&line, "executions");
+            }
+            "choice-point" => {
+                if let Some(site) = field_str(&line, "site") {
+                    self.attribution.choice(&site);
+                }
+            }
+            "preemption-taken" => {
+                if let Some(site) = field_str(&line, "site") {
+                    self.attribution.preemption(&site);
+                }
+            }
+            "fault-injected" => {
+                if let Some(site) = field_str(&line, "site") {
+                    self.attribution.fault(&site);
+                }
+            }
+            "phase-time" => {
+                if let (Some(phase), Some(elapsed)) =
+                    (field_str(&line, "phase"), field_nanos(&line, "elapsed_ns"))
+                {
+                    match phase.as_ref() {
+                        "replay" => report.phases.replay += elapsed,
+                        "selection" => report.phases.selection += elapsed,
+                        "race-detection" => report.phases.race_detection += elapsed,
+                        _ => {}
+                    }
+                }
+            }
+            "bound-completed" => {
+                report.bounds.push(BoundRow {
+                    bound: field_usize(&line, "bound").unwrap_or(0),
+                    executions: field_usize(&line, "executions").unwrap_or(0),
+                    cumulative_states: field_usize(&line, "cumulative_states").unwrap_or(0),
+                    bugs_found: field_usize(&line, "bugs_found").unwrap_or(0),
+                    wall_time: field_nanos(&line, "wall_time_ns"),
+                });
+            }
+            "cache-hit" => {
+                report.cache_hits += field_usize(&line, "count").unwrap_or(0);
+            }
+            "cache-store" => {
+                report.cache_stores += field_usize(&line, "count").unwrap_or(0);
+            }
+            "bound-certified" => {
+                report.cache_certified = true;
+            }
+            "metrics-snapshot" => {
+                if let (Some(elapsed), Some(executions)) = (
+                    field_nanos(&line, "elapsed_ns"),
+                    field_usize(&line, "executions"),
+                ) {
+                    report.throughput.push(ThroughputSample {
+                        elapsed,
+                        executions,
+                    });
+                }
+                if let (Some(busy), Some(idle), Some(execs)) = (
+                    field_u64_array(&line, "worker_busy_ns"),
+                    field_u64_array(&line, "worker_idle_ns"),
+                    field_u64_array(&line, "worker_executions"),
+                ) {
+                    // Keep-last: cumulative counters make the final
+                    // snapshot the authoritative per-worker split.
+                    report.worker_utilization = busy
+                        .iter()
+                        .zip(&idle)
+                        .zip(&execs)
+                        .enumerate()
+                        .map(|(worker, ((&b, &i), &e))| WorkerUtilRow {
+                            worker,
+                            busy: Duration::from_nanos(b),
+                            idle: Duration::from_nanos(i),
+                            executions: e as usize,
+                        })
+                        .collect();
+                }
+            }
+            "search-aborted" => {
+                report.aborted = field_str(&line, "reason").map(Cow::into_owned);
+            }
+            "search-finished" => {
+                self.finished = true;
+                // The final report's totals are authoritative over the
+                // per-event tallies (a log cut mid-run keeps the tallies
+                // instead).
+                for (key, total) in [
+                    ("executions", &mut report.executions),
+                    ("distinct_states", &mut report.distinct_states),
+                    ("buggy_executions", &mut report.buggy_executions),
+                    ("bugs_reported", &mut report.bugs_reported),
+                    ("cache_hits", &mut report.cache_hits),
+                    ("cache_stores", &mut report.cache_stores),
+                ] {
+                    if let Some(v) = field_usize(&line, key) {
+                        *total = v;
+                    }
+                }
+                report.completed = field_bool(&line, "completed").unwrap_or(false);
+                report.truncated = field_bool(&line, "truncated").unwrap_or(false);
+                if let Some(v) = field_bool(&line, "cache_heuristic") {
+                    report.cache_heuristic = v;
+                }
+                if let Some(v) = field_bool(&line, "cache_certified") {
+                    report.cache_certified = report.cache_certified || v;
+                }
+                report.elapsed = field_nanos(&line, "elapsed_ns");
+            }
+            _ => {}
+        }
+    }
+}
+
+impl io::Write for ReportBuilder {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut rest = buf;
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            let mut line = std::mem::take(&mut self.partial);
+            line.extend_from_slice(&rest[..end]);
+            // `str::lines` drops the `\r` of a `\r\n` ending.
+            self.fold(line.strip_suffix(b"\r").unwrap_or(&line));
+            line.clear();
+            self.partial = line;
+            rest = &rest[end + 1..];
+        }
+        self.partial.extend_from_slice(rest);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 impl RunReport {
     /// Reconstructs a run from the JSONL event log written by
-    /// [`JsonlSink`](crate::JsonlSink).
+    /// [`JsonlSink`](crate::JsonlSink): feeds `text` to a
+    /// [`ReportBuilder`].
     ///
     /// Works on complete logs and on logs cut short by an abort or a
     /// killed process: totals then fall back to the per-execution events
-    /// seen so far. Lines that are not recognized events are skipped.
+    /// seen so far.
     ///
     /// # Errors
     ///
     /// Returns an error when the text contains no `search-started` event
     /// — i.e. it is not a JSONL telemetry log at all.
     pub fn from_jsonl(text: &str) -> Result<RunReport, String> {
-        let mut report = RunReport::default();
-        let mut attribution: Attribution<String> = Attribution::new();
-        let mut started = false;
-        let mut finished = false;
-        for line in text.lines() {
-            let Some(event) = field_str(line, "event") else {
-                continue;
-            };
-            match event.as_str() {
-                "search-started" => {
-                    started = true;
-                    if let Some(s) = field_str(line, "strategy") {
-                        report.strategy = s;
-                    }
-                }
-                "execution-finished" => {
-                    if let Some(i) = field_usize(line, "index") {
-                        report.executions = report.executions.max(i);
-                    }
-                    let states = field_usize(line, "distinct_states").unwrap_or(0);
-                    report.distinct_states = report.distinct_states.max(states);
-                    if let Some(outcome) = field_str(line, "outcome") {
-                        match outcome.as_str() {
-                            // Non-bug outcomes: normal termination, the
-                            // livelock guards, and infrastructure
-                            // failures (divergence is quarantined, not
-                            // reported as a program bug).
-                            "terminated" | "step-limit-exceeded" | "replay-divergence" => {}
-                            "watchdog-timeout" => report.watchdog_trips += 1,
-                            _ => report.buggy_executions += 1,
-                        }
-                    }
-                    attribution.execution_finished(states);
-                }
-                "trace-quarantined" => {
-                    report.quarantined += 1;
-                }
-                "checkpoint-written" => {
-                    report.checkpoints += 1;
-                }
-                "search-resumed" => {
-                    report.resumed_from = field_usize(line, "executions");
-                }
-                "choice-point" => {
-                    if let Some(site) = field_str(line, "site") {
-                        attribution.choice(site);
-                    }
-                }
-                "preemption-taken" => {
-                    if let Some(site) = field_str(line, "site") {
-                        attribution.preemption(site);
-                    }
-                }
-                "fault-injected" => {
-                    if let Some(site) = field_str(line, "site") {
-                        attribution.fault(site);
-                    }
-                }
-                "phase-time" => {
-                    if let (Some(phase), Some(ns)) =
-                        (field_str(line, "phase"), field_u128(line, "elapsed_ns"))
-                    {
-                        let elapsed = Duration::from_nanos(ns as u64);
-                        match phase.as_str() {
-                            "replay" => report.phases.replay += elapsed,
-                            "selection" => report.phases.selection += elapsed,
-                            "race-detection" => report.phases.race_detection += elapsed,
-                            _ => {}
-                        }
-                    }
-                }
-                "bound-completed" => {
-                    report.bounds.push(BoundRow {
-                        bound: field_usize(line, "bound").unwrap_or(0),
-                        executions: field_usize(line, "executions").unwrap_or(0),
-                        cumulative_states: field_usize(line, "cumulative_states").unwrap_or(0),
-                        bugs_found: field_usize(line, "bugs_found").unwrap_or(0),
-                        wall_time: field_u128(line, "wall_time_ns")
-                            .map(|ns| Duration::from_nanos(ns as u64)),
-                    });
-                }
-                "cache-hit" => {
-                    report.cache_hits += field_usize(line, "count").unwrap_or(0);
-                }
-                "cache-store" => {
-                    report.cache_stores += field_usize(line, "count").unwrap_or(0);
-                }
-                "bound-certified" => {
-                    report.cache_certified = true;
-                }
-                "metrics-snapshot" => {
-                    if let (Some(ns), Some(executions)) = (
-                        field_u128(line, "elapsed_ns"),
-                        field_usize(line, "executions"),
-                    ) {
-                        report.throughput.push(ThroughputSample {
-                            elapsed: Duration::from_nanos(ns as u64),
-                            executions,
-                        });
-                    }
-                    if let (Some(busy), Some(idle), Some(execs)) = (
-                        field_u64_array(line, "worker_busy_ns"),
-                        field_u64_array(line, "worker_idle_ns"),
-                        field_u64_array(line, "worker_executions"),
-                    ) {
-                        // Keep-last: cumulative counters make the final
-                        // snapshot the authoritative per-worker split.
-                        report.worker_utilization = busy
-                            .iter()
-                            .zip(&idle)
-                            .zip(&execs)
-                            .enumerate()
-                            .map(|(worker, ((&b, &i), &e))| WorkerUtilRow {
-                                worker,
-                                busy: Duration::from_nanos(b),
-                                idle: Duration::from_nanos(i),
-                                executions: e as usize,
-                            })
-                            .collect();
-                    }
-                }
-                "search-aborted" => {
-                    report.aborted = field_str(line, "reason");
-                }
-                "search-finished" => {
-                    finished = true;
-                    if let Some(v) = field_usize(line, "executions") {
-                        report.executions = v;
-                    }
-                    if let Some(v) = field_usize(line, "distinct_states") {
-                        report.distinct_states = v;
-                    }
-                    if let Some(v) = field_usize(line, "buggy_executions") {
-                        report.buggy_executions = v;
-                    }
-                    if let Some(v) = field_usize(line, "bugs_reported") {
-                        report.bugs_reported = v;
-                    }
-                    report.completed = field_bool(line, "completed").unwrap_or(false);
-                    report.truncated = field_bool(line, "truncated").unwrap_or(false);
-                    // The final report's cache totals are authoritative
-                    // over the per-event sums (a log cut mid-run keeps
-                    // the sums instead).
-                    if let Some(v) = field_usize(line, "cache_hits") {
-                        report.cache_hits = v;
-                    }
-                    if let Some(v) = field_usize(line, "cache_stores") {
-                        report.cache_stores = v;
-                    }
-                    if let Some(v) = field_bool(line, "cache_heuristic") {
-                        report.cache_heuristic = v;
-                    }
-                    if let Some(v) = field_bool(line, "cache_certified") {
-                        report.cache_certified = report.cache_certified || v;
-                    }
-                    report.elapsed =
-                        field_u128(line, "elapsed_ns").map(|ns| Duration::from_nanos(ns as u64));
-                }
-                _ => {}
-            }
-        }
-        if !started {
-            return Err("not a telemetry log: no search-started event".to_string());
-        }
-        if !finished && report.aborted.is_none() {
-            report.aborted = Some("log ends mid-run".to_string());
-        }
-        report.sites = attribution.rows();
-        Ok(report)
+        let mut builder = ReportBuilder::new();
+        io::Write::write_all(&mut builder, text.as_bytes()).expect("the fold never fails");
+        builder.finish()
     }
 
     /// Merges the reports of consecutive segments of one
@@ -539,34 +605,32 @@ impl RunReport {
     ///
     /// Returns `None` for an empty slice.
     pub fn stitch(segments: &[RunReport]) -> Option<RunReport> {
-        let last = segments.last()?;
-        let mut out = last.clone();
-
+        // Per-segment quantities start from zero and are summed below.
+        let mut out = RunReport {
+            bounds: Vec::new(),
+            sites: Vec::new(),
+            phases: PhaseTotals::default(),
+            elapsed: None,
+            quarantined: 0,
+            watchdog_trips: 0,
+            checkpoints: 0,
+            cache_hits: 0,
+            cache_stores: 0,
+            cache_heuristic: false,
+            throughput: Vec::new(),
+            // The stitched run starts where the *first* segment did.
+            resumed_from: segments.first()?.resumed_from,
+            ..segments.last()?.clone()
+        };
         let mut bounds: BTreeMap<usize, BoundRow> = BTreeMap::new();
-        let mut sites: BTreeMap<String, SiteRow> = BTreeMap::new();
-        let mut phases = PhaseTotals::default();
-        let mut elapsed: Option<Duration> = None;
-        let mut throughput: Vec<ThroughputSample> = Vec::new();
-        let mut utilization: Vec<WorkerUtilRow> = Vec::new();
+        let mut sites: BTreeMap<&str, SiteRow> = BTreeMap::new();
         let mut offset = Duration::ZERO;
-        out.quarantined = 0;
-        out.watchdog_trips = 0;
-        out.checkpoints = 0;
-        out.cache_hits = 0;
-        out.cache_stores = 0;
-        out.cache_heuristic = false;
         for seg in segments {
-            for row in &seg.bounds {
-                bounds.insert(row.bound, row.clone());
-            }
+            bounds.extend(seg.bounds.iter().map(|row| (row.bound, row.clone())));
             for site in &seg.sites {
-                let entry = sites.entry(site.site.clone()).or_insert_with(|| SiteRow {
+                let entry = sites.entry(&site.site).or_insert_with(|| SiteRow {
                     site: site.site.clone(),
-                    choices: 0,
-                    executions: 0,
-                    preemptions: 0,
-                    faults: 0,
-                    states_unlocked: 0,
+                    ..SiteRow::default()
                 });
                 entry.choices += site.choices;
                 entry.executions += site.executions;
@@ -574,11 +638,11 @@ impl RunReport {
                 entry.faults += site.faults;
                 entry.states_unlocked += site.states_unlocked;
             }
-            phases.replay += seg.phases.replay;
-            phases.selection += seg.phases.selection;
-            phases.race_detection += seg.phases.race_detection;
+            out.phases.replay += seg.phases.replay;
+            out.phases.selection += seg.phases.selection;
+            out.phases.race_detection += seg.phases.race_detection;
             if let Some(e) = seg.elapsed {
-                elapsed = Some(elapsed.unwrap_or(Duration::ZERO) + e);
+                out.elapsed = Some(out.elapsed.unwrap_or_default() + e);
             }
             out.quarantined += seg.quarantined;
             out.watchdog_trips += seg.watchdog_trips;
@@ -589,37 +653,22 @@ impl RunReport {
             // Snapshot timestamps are segment-local: offset each segment
             // by the chain's wall time so far, so the stitched series is
             // monotone in chain time.
-            for sample in &seg.throughput {
-                throughput.push(ThroughputSample {
+            out.throughput
+                .extend(seg.throughput.iter().map(|sample| ThroughputSample {
                     elapsed: offset + sample.elapsed,
                     executions: sample.executions,
-                });
-            }
+                }));
             if !seg.worker_utilization.is_empty() {
-                utilization = seg.worker_utilization.clone();
+                out.worker_utilization = seg.worker_utilization.clone();
             }
-            let seg_span = seg
+            offset += seg
                 .elapsed
                 .or_else(|| seg.throughput.last().map(|s| s.elapsed))
-                .unwrap_or(Duration::ZERO);
-            offset += seg_span;
+                .unwrap_or_default();
         }
         out.bounds = bounds.into_values().collect();
-        let mut site_rows: Vec<SiteRow> = sites.into_values().collect();
-        site_rows.sort_by(|a, b| {
-            b.preemptions
-                .cmp(&a.preemptions)
-                .then(b.faults.cmp(&a.faults))
-                .then(b.choices.cmp(&a.choices))
-                .then(a.site.cmp(&b.site))
-        });
-        out.sites = site_rows;
-        out.phases = phases;
-        out.elapsed = elapsed;
-        out.throughput = throughput;
-        out.worker_utilization = utilization;
-        // The stitched run starts where the *first* segment did.
-        out.resumed_from = segments[0].resumed_from;
+        out.sites = sites.into_values().collect();
+        sort_hottest_first(&mut out.sites);
         Some(out)
     }
 }
@@ -945,6 +994,103 @@ pub fn render_markdown(runs: &[RunReport], top: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JsonlSink;
+    use icb_core::search::{Search, SearchConfig, SearchReport};
+    use icb_core::SearchObserver;
+    use icb_workloads::bluetooth::{bluetooth_model, BluetoothVariant};
+    use std::io::Write;
+
+    /// Runs the fixed Bluetooth model's ICB search to bound 1 under
+    /// `sink`, returning the library report.
+    fn bluetooth_search(sink: &mut dyn SearchObserver) -> SearchReport {
+        let model = bluetooth_model(BluetoothVariant::Fixed, 2);
+        let config = SearchConfig {
+            preemption_bound: Some(1),
+            ..SearchConfig::default()
+        };
+        Search::over(&model)
+            .config(config)
+            .observer(sink)
+            .run()
+            .unwrap()
+    }
+
+    /// The profile log of [`bluetooth_search`].
+    fn recorded_log() -> String {
+        let mut sink = JsonlSink::new(Vec::new()).with_profile_events(true);
+        bluetooth_search(&mut sink);
+        String::from_utf8(sink.into_inner()).unwrap()
+    }
+
+    /// Folds `text` through the `io::Write` side in `chunk`-byte writes.
+    fn fold_in_chunks(text: &str, chunk: usize) -> RunReport {
+        let mut builder = ReportBuilder::new();
+        for piece in text.as_bytes().chunks(chunk) {
+            builder.write_all(piece).unwrap();
+        }
+        builder.finish().unwrap()
+    }
+
+    #[test]
+    fn folds_a_live_icb_run() {
+        let mut sink = JsonlSink::new(ReportBuilder::new()).with_profile_events(true);
+        let report = bluetooth_search(&mut sink);
+        let run = sink.into_inner().finish().unwrap();
+        assert_eq!(run.strategy, "icb");
+        assert_eq!(run.executions, report.executions);
+        assert_eq!(run.distinct_states, report.distinct_states);
+        assert_eq!(run.completed, report.completed);
+        assert!(run.elapsed.is_some());
+        // Per-bound rows mirror the library report exactly.
+        assert_eq!(run.bounds.len(), report.bound_stats().len());
+        for (row, stats) in run.bounds.iter().zip(report.bound_stats()) {
+            assert_eq!(row.bound, stats.bound);
+            assert_eq!(row.executions, stats.executions);
+            assert_eq!(row.cumulative_states, stats.cumulative_states);
+            assert_eq!(row.bugs_found, stats.bugs_found);
+        }
+        // Sites were attributed: preemptions landed somewhere, and no
+        // site appears in more executions than ran.
+        assert!(run.sites.iter().any(|s| s.preemptions > 0));
+        assert!(run.sites.iter().all(|s| s.executions <= run.executions));
+    }
+
+    #[test]
+    fn chunked_writes_fold_like_from_jsonl() {
+        for log in [recorded_log(), LOG.to_string(), LOG.replace('\n', "\r\n")] {
+            let whole = RunReport::from_jsonl(&log).unwrap();
+            assert!(!whole.sites.is_empty());
+            for chunk in [1, 7, 4096] {
+                assert_eq!(fold_in_chunks(&log, chunk), whole, "{chunk}-byte writes");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_folds_the_unterminated_last_line() {
+        let log = recorded_log();
+        // A killed run's log may lack its final `\n`: the last line is
+        // still folded, exactly as `str::lines` yields it.
+        let unterminated = log.strip_suffix('\n').unwrap();
+        let r = fold_in_chunks(unterminated, 7);
+        assert_eq!(r, RunReport::from_jsonl(unterminated).unwrap());
+        assert_eq!(r.aborted, None, "the unterminated search-finished counts");
+        // Torn mid-line: the fragment folds the same way too.
+        let torn = &log[..log.len() / 2];
+        let r = fold_in_chunks(torn, 7);
+        assert_eq!(r, RunReport::from_jsonl(torn).unwrap());
+        assert_eq!(r.aborted.as_deref(), Some("log ends mid-run"));
+        // No cut point, inside a string, number or array, panics the fold.
+        for log in [LOG, METERED_SEGMENT1] {
+            for end in 0..=log.len() {
+                let _ = RunReport::from_jsonl(&log[..end]);
+            }
+        }
+        // An unterminated `\r` is part of the line, as in `str::lines`.
+        let crlf = LOG.replace('\n', "\r\n");
+        let cut = crlf.strip_suffix('\n').unwrap();
+        assert_eq!(fold_in_chunks(cut, 1), RunReport::from_jsonl(cut).unwrap());
+    }
 
     const LOG: &str = r#"{"event":"search-started","strategy":"icb"}
 {"event":"bound-started","bound":0,"work_items":1}
