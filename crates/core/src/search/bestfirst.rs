@@ -80,6 +80,7 @@ pub(crate) fn run_best_first(program: &dyn ControlledProgram, ledger: &mut Ledge
             result,
             path: prefix,
             deferred: Default::default(),
+            beyond: 0,
             cache: (0, 0),
             done: true,
         };

@@ -52,6 +52,9 @@ pub(crate) struct Ran {
     pub(crate) path: Schedule,
     /// ICB deferrals to `(c + 1, f)` and `(c, f + 1)`.
     pub(crate) deferred: [Vec<Schedule>; 2],
+    /// ICB deferrals to `(c + 1, f)` past the target bound, counted
+    /// only.
+    pub(crate) beyond: usize,
     /// Fingerprint-cache hits and stores.
     pub(crate) cache: (usize, usize),
     /// The item has no runs left.
@@ -220,6 +223,7 @@ pub(crate) fn finish_run(ran: Ran, cost: usize, want_choice: bool) -> (Exec, Sch
         result,
         path,
         mut deferred,
+        mut beyond,
         cache,
         done,
     } = ran;
@@ -233,6 +237,7 @@ pub(crate) fn finish_run(ran: Ran, cost: usize, want_choice: bool) -> (Exec, Sch
             // the enabled sets it reported cannot be trusted, so its
             // deferrals are forfeited with it.
             deferred = Default::default();
+            beyond = 0;
             Some(QuarantinedTrace {
                 schedule: path.clone(),
                 step: *step,
@@ -259,6 +264,7 @@ pub(crate) fn finish_run(ran: Ran, cost: usize, want_choice: bool) -> (Exec, Sch
         outcome: result.outcome,
         quarantine,
         deferred,
+        beyond,
         cache,
     };
     (exec, path, done)

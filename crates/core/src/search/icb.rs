@@ -21,6 +21,10 @@
 //! is explored before any execution with `i + 1`, and the first bug found
 //! is exposed by a minimal number of preemptions.
 //!
+//! A search with a target bound `c` never runs bound `c + 1`: at bound
+//! `c` each such deferral is only counted (the events and the queue
+//! depth still see it), never built or stored.
+//!
 //! # Fault levels
 //!
 //! When [`SearchConfig::fault_bound`](crate::search::SearchConfig::fault_bound) is non-zero, *injected faults*
@@ -74,6 +78,7 @@ pub(crate) fn run_icb(
             ),
             mode: Mode::Icb {
                 emit_faults: ledger.fault < ledger.config.fault_bound,
+                count_preemptions: target.is_some_and(|pb| ledger.bound + 1 > pb),
             },
             longest: AtomicUsize::new(0),
         };
@@ -107,7 +112,8 @@ pub(crate) fn run_icb(
             ledger.completed_bound = Some(ledger.bound);
         }
         let Some(next) = next else {
-            completed = !ledger.truncated;
+            // Work counted past the target is a level left unexplored.
+            completed = !ledger.truncated && ledger.beyond == 0;
             break;
         };
         if target.is_some_and(|pb| next.0 > pb) {
@@ -156,8 +162,12 @@ enum Mode {
     /// ICB: continuing an enabled current thread is forced; switching
     /// away would be a preemption and is deferred to the next bound
     /// (and, below the fault bound, a fallible step defers a faulted
-    /// copy to the next fault level). Free switches branch.
-    Icb { emit_faults: bool },
+    /// copy to the next fault level). Free switches branch. Past the
+    /// target bound a preemption deferral is only counted.
+    Icb {
+        emit_faults: bool,
+        count_preemptions: bool,
+    },
     /// DFS: branch over every enabled thread before the depth bound, if
     /// any, and complete the run under the default policy after it.
     Dfs(Option<usize>),
@@ -222,6 +232,7 @@ impl Explore for Tree<'_> {
             mode: self.mode,
             coast: false,
             emitted: [Vec::new(), Vec::new()],
+            counted: 0,
             cache: self
                 .cache
                 .filter(|_| !rerun)
@@ -253,6 +264,7 @@ impl Explore for Tree<'_> {
             mut stack,
             path,
             emitted,
+            counted,
             cache,
             ..
         } = sched;
@@ -275,6 +287,7 @@ impl Explore for Tree<'_> {
             result,
             path,
             deferred: emitted,
+            beyond: counted,
             cache: cache.map_or((0, 0), |c| (c.hits, c.stores)),
             done: node.backtrack(),
         })
@@ -330,6 +343,7 @@ impl Explore for Tree<'_> {
             completed_bound: ledger.completed_bound,
             work,
             deferred: levels.into_iter().map(|((c, f), q)| (c, f, q)).collect(),
+            beyond: ledger.beyond,
             bound_history: ledger.bound_history.clone(),
             in_progress,
         })
@@ -394,7 +408,8 @@ struct ItemCache<'a> {
     state: &'a Cell<u64>,
     /// Coverage credit of the work items this run emits (born at the
     /// next bound); `None` when they lie beyond the target bound and
-    /// will never run — then neither probed nor recorded.
+    /// will never run — then they are counted, neither probed nor
+    /// recorded.
     credit: Option<u32>,
     /// Coverage credit of *fault* work items, which run at this bound
     /// (next fault level), so they carry one more preemption of budget
@@ -477,6 +492,9 @@ struct TreeScheduler<'a> {
     /// the next preemption bound, and `path-so-far` with a fault
     /// injected into its last step for the next fault level.
     emitted: [Vec<Schedule>; 2],
+    /// Preemption deferrals past the target bound, counted instead of
+    /// emitted.
+    counted: usize,
     /// Fingerprint-cache probing: at ICB deferrals, at DFS branch points.
     cache: Option<ItemCache<'a>>,
 }
@@ -495,7 +513,9 @@ impl TreeScheduler<'_> {
     fn extend(&mut self, point: &SchedulePoint<'_>) -> Tid {
         let step = point.step_index;
         match self.mode {
-            Mode::Icb { .. } if point.current_enabled => {
+            Mode::Icb {
+                count_preemptions, ..
+            } if point.current_enabled => {
                 // Forced: continuing the current thread is free;
                 // switching to any other enabled thread costs a
                 // preemption and is deferred to the next bound.
@@ -503,11 +523,17 @@ impl TreeScheduler<'_> {
                     .current
                     .expect("current_enabled implies a current thread");
                 if step >= self.fresh_from {
-                    for &t in point.enabled {
-                        if t != current && !self.cache.as_mut().is_some_and(|c| c.covered(t)) {
-                            let mut item = self.path.clone();
-                            item.push(t);
-                            self.emitted[0].push(item);
+                    let others = point.enabled.iter().filter(|&&t| t != current);
+                    if count_preemptions {
+                        // Past the target: no item, no cache probe.
+                        self.counted += others.count();
+                    } else {
+                        for &t in others {
+                            if !self.cache.as_mut().is_some_and(|c| c.covered(t)) {
+                                let mut item = self.path.clone();
+                                item.push(t);
+                                self.emitted[0].push(item);
+                            }
                         }
                     }
                 }
@@ -571,7 +597,13 @@ impl Scheduler for TreeScheduler<'_> {
             }
             return false;
         }
-        let emit = matches!(self.mode, Mode::Icb { emit_faults: true });
+        let emit = matches!(
+            self.mode,
+            Mode::Icb {
+                emit_faults: true,
+                ..
+            }
+        );
         if emit
             && point.step_index >= self.fresh_from
             && !self
@@ -781,6 +813,41 @@ mod tests {
             .unwrap();
         assert!(report.truncated);
         assert!(!report.completed);
+    }
+
+    #[test]
+    fn target_bound_deferrals_are_not_capped() {
+        // The bound-2 work a bound-1 search defers never runs, so a
+        // budget with one execution to spare (which caps the deferred
+        // queue at one item) must not truncate it.
+        let p = Counters {
+            n: 3,
+            k: 3,
+            bug: None,
+        };
+        let config = SearchConfig {
+            preemption_bound: Some(1),
+            ..SearchConfig::default()
+        };
+        let needed = Search::over(&p)
+            .config(config.clone())
+            .run()
+            .unwrap()
+            .executions;
+        for jobs in [1, 2] {
+            let report = Search::over(&p)
+                .config(SearchConfig {
+                    max_executions: Some(needed + 1),
+                    ..config.clone()
+                })
+                .jobs(jobs)
+                .run()
+                .unwrap();
+            assert_eq!(report.executions, needed, "jobs {jobs}");
+            assert!(!report.truncated, "jobs {jobs}");
+            assert!(!report.completed, "jobs {jobs}: bound 2 is left");
+            assert_eq!(report.completed_bound, Some(1), "jobs {jobs}");
+        }
     }
 
     #[test]

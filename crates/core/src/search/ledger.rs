@@ -38,6 +38,9 @@ pub(crate) struct Exec {
     pub(crate) quarantine: Option<QuarantinedTrace>,
     /// ICB deferrals to `(c + 1, f)` and to `(c, f + 1)`.
     pub(crate) deferred: [Vec<Schedule>; 2],
+    /// ICB deferrals to `(c + 1, f)` past the target bound, counted
+    /// only.
+    pub(crate) beyond: usize,
     /// Fingerprint-cache hits and stores of the run.
     pub(crate) cache: (usize, usize),
 }
@@ -89,6 +92,10 @@ pub(crate) struct Ledger<'o> {
     /// Canonical mode: this level's deferrals to `(c + 1, f)` and
     /// `(c, f + 1)`, sorted into `levels` at the barrier.
     accrued: [Vec<Schedule>; 2],
+    /// Work items deferred past the target bound: they never run, so
+    /// they are counted (for events and queue depth), not stored or
+    /// capped.
+    pub(crate) beyond: usize,
     cache: Option<CacheSummary>,
     pub(crate) ckpt: Option<&'o mut Checkpointer>,
     pub(crate) observer: &'o mut dyn SearchObserver,
@@ -131,6 +138,7 @@ impl<'o> Ledger<'o> {
             bound_history: Vec::new(),
             levels: BTreeMap::new(),
             accrued: [Vec::new(), Vec::new()],
+            beyond: 0,
             cache: None,
             ckpt,
             observer,
@@ -164,6 +172,7 @@ impl<'o> Ledger<'o> {
                 .into_iter()
                 .map(|(c, f, q)| ((c, f), q.into()))
                 .collect();
+            self.beyond = s.beyond;
         }
         self.executions = base.executions;
         self.buggy_executions = base.buggy_executions;
@@ -298,6 +307,10 @@ impl<'o> Ledger<'o> {
                 for item in preempt {
                     self.defer((c + 1, f), item, 0);
                 }
+                self.beyond += e.beyond;
+                for _ in 0..e.beyond {
+                    self.observer.work_item_deferred(c + 1);
+                }
                 for item in fault {
                     self.defer((c, f + 1), item, 1);
                 }
@@ -387,6 +400,7 @@ impl<'o> Ledger<'o> {
     fn queue_depth(&self) -> usize {
         self.levels.values().map(VecDeque::len).sum::<usize>()
             + self.accrued.iter().map(Vec::len).sum::<usize>()
+            + self.beyond
     }
 
     /// Closes the current level: its statistics row, and in canonical

@@ -59,7 +59,9 @@ pub struct SearchConfig {
     /// still counted in [`SearchReport::buggy_executions`]).
     pub max_bug_reports: usize,
     /// Hard cap on the deferred work queue of ICB; exceeding it
-    /// sets [`SearchReport::truncated`]. `None` = unbounded.
+    /// sets [`SearchReport::truncated`]. `None` = unbounded. Work
+    /// deferred past the target `preemption_bound` never runs and is
+    /// only counted, never capped.
     pub max_work_queue: Option<usize>,
     /// Wall-clock budget: the search stops (incomplete) after this long.
     /// `None` = unlimited.

@@ -52,6 +52,7 @@ impl Explore for Walks<'_> {
             result,
             path: Schedule::new(),
             deferred: Default::default(),
+            beyond: 0,
             cache: (0, 0),
             done: walks.is_empty(),
         })

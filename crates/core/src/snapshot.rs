@@ -37,7 +37,9 @@ const MAGIC: &[u8; 8] = b"ICBSNAPv";
 /// per-`(preemption, fault)`-level deferred map.
 /// v4: one state per strategy — DFS stores its unexplored items, random
 /// its unexplored walk-index ranges, at any job count.
-const VERSION: u32 = 4;
+/// v5: `IcbState` counts the work deferred past the target bound
+/// (`beyond`) instead of storing it as `(bound + 1, _)` rows.
+const VERSION: u32 = 5;
 /// Fixed header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -147,8 +149,11 @@ pub struct IcbState {
     /// Work items already deferred to future `(preemption, fault)`
     /// levels, as `(bound, fault, items)` rows sorted by level. At
     /// fault bound 0 this holds at most the `(bound + 1, 0)` row — the
-    /// legacy `next` queue.
+    /// legacy `next` queue. Never a level past the target bound.
     pub deferred: Vec<(usize, usize, Vec<Schedule>)>,
+    /// Work items deferred past the target bound, which never run:
+    /// only their number is kept.
+    pub beyond: usize,
     /// Per-level statistics of the levels completed so far.
     pub bound_history: Vec<BoundStats>,
     /// A work item interrupted mid-exploration: its prefix and the
@@ -298,6 +303,7 @@ impl SearchSnapshot {
                     w.usize(*f);
                     w.list(items, Writer::schedule);
                 });
+                w.usize(s.beyond);
                 w.list(&s.bound_history, |w, b| {
                     for v in [
                         b.bound,
@@ -345,6 +351,7 @@ impl SearchSnapshot {
                 completed_bound: r.opt_usize()?,
                 work: r.list(Reader::schedule)?,
                 deferred: r.list(|r| Ok((r.usize()?, r.usize()?, r.list(Reader::schedule)?)))?,
+                beyond: r.usize()?,
                 bound_history: r.list(|r| {
                     Ok(BoundStats {
                         bound: r.usize()?,
@@ -895,6 +902,7 @@ mod tests {
                     (1, 2, vec![vec![Tid(1)].into()]),
                     (2, 1, vec![vec![Tid(0)].into()]),
                 ],
+                beyond: 0,
                 bound_history: vec![BoundStats {
                     bound: 0,
                     faults: 0,
@@ -1028,15 +1036,33 @@ mod tests {
     }
 
     #[test]
-    fn version_3_snapshots_are_rejected_not_panicked() {
-        // A v3 file (the layout before one state per strategy) fails on
-        // its header, before any of its payload is decoded.
-        let mut bytes = to_bytes(&sample());
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            SearchSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(3))
-        );
+    fn versions_3_and_4_are_rejected_not_panicked() {
+        // A v3 file (the layout before one state per strategy) and a v4
+        // file (which stored the work deferred past the target bound as
+        // schedules) fail on their header, before any of their payload
+        // is decoded.
+        for version in [3u32, 4] {
+            let mut bytes = to_bytes(&sample());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = SearchSnapshot::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err, SnapshotError::UnsupportedVersion(version));
+            assert!(err.to_string().contains("restart the run"), "{err}");
+        }
+    }
+
+    #[test]
+    fn beyond_count_round_trips() {
+        for beyond in [1, 279_100, u64::MAX as usize] {
+            // At the target bound only the fault levels are stored.
+            let mut snap = sample();
+            if let StrategyState::Icb(state) = &mut snap.state {
+                (state.bound, state.fault) = (2, 0);
+                state.deferred = vec![(2, 1, vec![vec![Tid(0)].into()])];
+                state.beyond = beyond;
+            }
+            let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
+            assert_eq!(back, snap);
+        }
     }
 
     #[test]

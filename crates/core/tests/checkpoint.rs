@@ -427,6 +427,92 @@ fn resume_across_jobs(
         .unwrap()
 }
 
+/// Observer that copies the live checkpoint aside at its first write
+/// taken while the search runs its target bound `c`.
+struct FreezeAtTarget {
+    live: PathBuf,
+    frozen: PathBuf,
+    target: usize,
+    done: bool,
+}
+
+impl SearchObserver for FreezeAtTarget {
+    fn checkpoint_written(&mut self, _executions: usize) {
+        if self.done {
+            return;
+        }
+        let snapshot = SearchSnapshot::read_from(&self.live).unwrap();
+        if matches!(&snapshot.state, StrategyState::Icb(s) if s.bound == self.target && s.beyond > 0)
+        {
+            std::fs::copy(&self.live, &self.frozen).expect("freeze checkpoint copy");
+            self.done = true;
+        }
+    }
+}
+
+/// A checkpoint taken during the target bound stores no schedule for
+/// the bound past it, only their number, and resumes to the
+/// uninterrupted report at any job count.
+#[test]
+fn target_level_checkpoints_count_the_work_past_the_target() {
+    let program = Counters {
+        n: 3,
+        k: 3,
+        bug: None,
+    };
+    let c = 1;
+    let config = SearchConfig {
+        preemption_bound: Some(c),
+        ..SearchConfig::default()
+    };
+    for write_jobs in [1, 2] {
+        let dir = TempDir::new(&format!("target-{write_jobs}"));
+        let live = dir.path("live.ck");
+        let frozen = dir.path("frozen.ck");
+        let mut freezer = FreezeAtTarget {
+            live: live.clone(),
+            frozen: frozen.clone(),
+            target: c,
+            done: false,
+        };
+        Search::over(&program)
+            .config(config.clone())
+            .jobs(write_jobs)
+            .observer(&mut freezer)
+            .checkpoint(Checkpointer::new(&live, 1))
+            .run()
+            .unwrap();
+        assert!(freezer.done, "no checkpoint during bound {c}");
+        let snapshot = SearchSnapshot::read_from(&frozen).unwrap();
+        let StrategyState::Icb(state) = &snapshot.state else {
+            panic!("an ICB checkpoint");
+        };
+        assert!(
+            state.deferred.iter().all(|&(bound, ..)| bound <= c),
+            "stored levels past the target: {:?}",
+            state.deferred
+        );
+        for resume_jobs in [1, 2] {
+            let reference = Search::over(&program)
+                .config(config.clone())
+                .jobs(resume_jobs)
+                .run()
+                .unwrap();
+            assert!(!reference.completed);
+            assert_eq!(reference.completed_bound, Some(c));
+            let resumed = Search::over(&program)
+                .resume_from(snapshot.clone())
+                .jobs(resume_jobs)
+                .run()
+                .unwrap();
+            assert_same_exploration(&resumed, &reference);
+            assert_eq!(resumed.completed_bound, reference.completed_bound);
+            assert_eq!(resumed.bound_history, reference.bound_history);
+            assert_eq!(resumed.truncated, reference.truncated);
+        }
+    }
+}
+
 #[test]
 fn dfs_checkpoints_resume_across_job_counts() {
     let program = Counters {

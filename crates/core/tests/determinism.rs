@@ -523,6 +523,78 @@ fn fault_witness_json_is_byte_identical_via_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The deferral traffic of an ICB search: `work-item-deferred` events
+/// per next bound, the last reported queue depth, and each
+/// `bound-started` as `(bound, queued items, depth reported before it)`.
+#[derive(Default)]
+struct Deferrals {
+    deferred: BTreeMap<usize, usize>,
+    depth: usize,
+    started: Vec<(usize, usize, usize)>,
+}
+
+impl SearchObserver for Deferrals {
+    fn work_item_deferred(&mut self, next_bound: usize) {
+        *self.deferred.entry(next_bound).or_default() += 1;
+    }
+    fn work_queue_depth(&mut self, depth: usize) {
+        self.depth = depth;
+    }
+    fn bound_started(&mut self, bound: usize, work_items: usize) {
+        self.started.push((bound, work_items, self.depth));
+    }
+}
+
+/// A search to target `c` only counts the work it defers to `c + 1`;
+/// the count must be exactly the queue a search to target `c + 1`
+/// builds for that bound, at every job count and fault bound.
+#[test]
+fn counted_deferrals_match_the_next_bounds_queue() {
+    let program = FaultyCounters { n: 3, k: 2 };
+    for fault_bound in [0, 1] {
+        for jobs in [1, 2] {
+            for c in [0, 1] {
+                let traffic = |target: usize| {
+                    let mut seen = Deferrals::default();
+                    Search::over(&program)
+                        .config(SearchConfig {
+                            preemption_bound: Some(target),
+                            fault_bound,
+                            ..SearchConfig::default()
+                        })
+                        .jobs(jobs)
+                        .observer(&mut seen)
+                        .run()
+                        .unwrap();
+                    seen
+                };
+                let at = format!("c {c}, fault bound {fault_bound}, jobs {jobs}");
+                let counted = traffic(c);
+                let beyond = counted.deferred.get(&(c + 1)).copied().unwrap_or(0);
+                assert!(beyond > 0, "{at}: nothing deferred past the target");
+                assert_eq!(counted.depth, beyond, "{at}: depth counts them");
+                assert!(counted.started.iter().all(|&(b, ..)| b <= c), "{at}");
+
+                let queued = traffic(c + 1);
+                let &(_, items, depth) = queued
+                    .started
+                    .iter()
+                    .find(|&&(b, ..)| b == c + 1)
+                    .expect("bound c + 1 started");
+                // Every item pending when bound c + 1 starts was deferred
+                // from bound c; its first fault level holds all of them
+                // unless faults split them over more levels.
+                assert_eq!(depth, beyond, "{at}: pending at bound c + 1");
+                if fault_bound == 0 {
+                    assert_eq!(items, beyond, "{at}: bound c + 1 queue");
+                } else {
+                    assert!(items <= beyond, "{at}: bound c + 1 queue");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sequential_runs_emit_no_worker_stamps() {
     let program = clean();

@@ -205,3 +205,46 @@ fn bug_report_cap_limits_memory_not_detection() {
     assert_eq!(report.bugs.len(), 2);
     assert!(report.buggy_executions > 2);
 }
+
+/// A bound-`c` search of an exact-fingerprint VM model, with a cache and
+/// a budget of one execution more than it needs, certifies bound `c`:
+/// the work it defers past `c` never runs, so it cannot overflow the
+/// queue (capped at the budget left) and truncate the run.
+#[test]
+fn a_tight_budget_still_certifies_the_target_bound() {
+    use icb::cache::CacheStore;
+    use icb::core::ExplorationCache;
+
+    let model = all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "Work Stealing Q.")
+        .and_then(|b| b.vm_model)
+        .expect("the work-stealing queue has a VM model")();
+    assert!(model.fingerprints_are_exact());
+    let c = 2;
+    let root = std::env::temp_dir().join(format!("icb-tight-certify-{}", std::process::id()));
+    let run = |store: &str, max_executions: usize| {
+        let store = CacheStore::open(&root.join(store), 1).unwrap();
+        let report = Search::over(&model)
+            .config(SearchConfig {
+                preemption_bound: Some(c),
+                max_executions: Some(max_executions),
+                ..SearchConfig::default()
+            })
+            .cache(&store)
+            .run()
+            .unwrap();
+        (report, store)
+    };
+    let (roomy, _) = run("roomy", 1_000_000);
+    assert!(roomy.executions > 1, "{roomy}");
+    let (tight, store) = run("tight", roomy.executions + 1);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(tight.executions, roomy.executions);
+    assert!(!tight.truncated, "{tight}");
+    assert_eq!(tight.completed_bound, Some(c));
+    assert!(
+        store.find_certification("icb", Some(c), 0).is_some(),
+        "bound {c} not certified: {tight}"
+    );
+}
