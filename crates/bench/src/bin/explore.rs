@@ -6,11 +6,11 @@
 //!             [--bound N] [--fault-bound N] [--budget N] [--jobs N] [--shrink]
 //!             [--cache <dir>] [--cache-heuristic]
 //!             [--checkpoint <path>] [--checkpoint-every N] [--max-wall-time-ms N]
-//!             [--telemetry jsonl:<path>] [--progress] [--profile]
+//!             [--telemetry jsonl:<path>] [--progress] [--profile] [--top N]
 //!             [--serve-metrics <addr>]
-//! explore resume <checkpoint> [--jobs N] [--checkpoint-every N]
+//! explore resume <checkpoint> [--jobs N] [--checkpoint-every N] [--shrink]
 //!                [--cache <dir>] [--cache-heuristic]
-//!                [--telemetry jsonl:<path>] [--progress] [--profile]
+//!                [--telemetry jsonl:<path>] [--progress] [--profile] [--top N]
 //!                [--serve-metrics <addr>]
 //! explore top <addr> [--interval-ms N] [--once]
 //! explore explain <benchmark> [--bug <name>] [--strategy icb|dfs|db:N|random|best-first]
@@ -145,11 +145,15 @@ fn main() -> ExitCode {
             eprintln!(
                 "              [--checkpoint <path>] [--checkpoint-every N] [--max-wall-time-ms N]"
             );
-            eprintln!("              [--telemetry jsonl:<path>] [--progress] [--profile]");
+            eprintln!(
+                "              [--telemetry jsonl:<path>] [--progress] [--profile] [--top N]"
+            );
             eprintln!("              [--serve-metrics <addr>]");
-            eprintln!("  explore resume <checkpoint> [--jobs N] [--checkpoint-every N]");
+            eprintln!("  explore resume <checkpoint> [--jobs N] [--checkpoint-every N] [--shrink]");
             eprintln!("                 [--cache <dir>] [--cache-heuristic]");
-            eprintln!("                 [--telemetry jsonl:<path>] [--progress] [--profile]");
+            eprintln!(
+                "                 [--telemetry jsonl:<path>] [--progress] [--profile] [--top N]"
+            );
             eprintln!("                 [--serve-metrics <addr>]");
             eprintln!("  explore top <addr> [--interval-ms N] [--once]");
             eprintln!(
@@ -168,6 +172,9 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    if let Some(command) = args.first() {
+        check_flags(command, &args[1..])?;
+    }
     match args.first().map(String::as_str) {
         Some("list") => {
             list();
@@ -231,6 +238,52 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The flags `command`'s usage line lists, as (value-taking flags,
+/// switches); `None` for commands whose flags are not checked.
+fn usage_flags(command: &str) -> Option<(&'static str, &'static str)> {
+    Some(match command {
+        "run" => (
+            "--bug --strategy --bound --fault-bound --budget --jobs --cache --checkpoint \
+             --checkpoint-every --max-wall-time-ms --telemetry --top --serve-metrics",
+            "--shrink --cache-heuristic --progress --profile",
+        ),
+        "resume" => (
+            "--jobs --checkpoint-every --cache --telemetry --top --serve-metrics",
+            "--shrink --cache-heuristic --progress --profile",
+        ),
+        "top" => ("--interval-ms", "--once"),
+        "explain" => (
+            "--bug --strategy --budget --bound --fault-bound --jobs --out --from --wrap",
+            "--timings",
+        ),
+        "replay" => ("--bug --schedule --telemetry", ""),
+        _ => return None,
+    })
+}
+
+/// Rejects a `--flag` that `command`'s usage line does not list, and a
+/// value-taking flag with no value after it, so a typo fails loudly
+/// instead of running with the flag silently dropped.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let Some((valued, switches)) = usage_flags(command) else {
+        return Ok(());
+    };
+    let lists = |flags: &str, arg: &str| flags.split_whitespace().any(|f| f == arg);
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") || lists(switches, arg) {
+            continue;
+        }
+        if !lists(valued, arg) {
+            return Err(format!("unknown flag `{arg}` for `{command}`"));
+        }
+        if args.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("missing value for `{arg}`"));
+        }
+    }
+    Ok(())
 }
 
 /// Opens the `--telemetry jsonl:<path>` sink, when requested.

@@ -1,7 +1,8 @@
 //! End-to-end contract of `explore explain`: the bundle it writes is
 //! complete, self-consistent, and byte-identical no matter how many
 //! workers found the bug or whether the witness came from a live search
-//! or a recorded `--from` telemetry log.
+//! or a recorded `--from` telemetry log. A malformed invocation fails
+//! with the usage error instead of running.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -227,4 +228,26 @@ fn explain_requires_a_workload_and_a_buggy_variant() {
         String::from_utf8_lossy(&out.stderr).contains("missing benchmark name"),
         "flag-first invocation must explain the workload requirement"
     );
+
+    // A misspelt flag, or a flag missing its value, is a usage error
+    // rather than a run with the flag silently dropped.
+    for (args, expect) in [
+        (
+            &["run", "Bluetooth", "--bund", "1", "--budget", "50"][..],
+            "unknown flag `--bund`",
+        ),
+        (
+            &["run", "Bluetooth", "--bound"][..],
+            "missing value for `--bound`",
+        ),
+    ] {
+        let out = run_explore(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(expect) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not start a search");
+    }
 }

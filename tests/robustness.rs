@@ -1,5 +1,7 @@
 //! Robustness: no false positives on the correct benchmark variants
-//! under any strategy, and honest failures on contract violations.
+//! under any strategy, honest failures on contract violations, and the
+//! fault-bound and cache ablations: neither the fault dimension nor a
+//! cache changes a verdict it must not change.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,6 +104,64 @@ fn fault_bugs_are_invisible_below_their_fault_bound() {
                 bug.name,
                 report.bugs
             );
+        }
+    }
+}
+
+/// The `(c, f)` ablation grid: both fault-dependent bugs, plus the
+/// Bluetooth driver bug as the preemption-only control, searched at
+/// every `c ∈ 0..=2`, `f ∈ 0..=2`. A fault bug is absent from the whole
+/// `f = 0` column and found at the minimum `(0 preemptions, 1 fault)`
+/// wherever `f` reaches its expected faults. The control row does not
+/// move with `f`: Bluetooth designates no fallible operations, so the
+/// wider search explores the same executions and states and reports
+/// the same witness.
+#[test]
+fn fault_grid_separates_fault_bugs_from_preemption_bugs() {
+    const ROWS: [(&str, &str); 3] = [
+        ("Fault Injection", "shed-on-try-lock-failure"),
+        ("Fault Injection", "missing-spurious-recheck"),
+        ("Bluetooth", "check-then-increment"),
+    ];
+    let benches = all_benchmarks();
+    for (workload, bug) in ROWS {
+        let spec = benches
+            .iter()
+            .find(|b| b.name == workload)
+            .and_then(|b| b.bugs.iter().find(|s| s.name == bug))
+            .unwrap_or_else(|| panic!("{workload} has no bug {bug}"));
+        for c in 0..=2 {
+            let row: Vec<_> = (0..=2)
+                .map(|f| {
+                    let program = (spec.build)();
+                    let report = Search::over(&program)
+                        .config(SearchConfig {
+                            max_executions: Some(200_000),
+                            preemption_bound: Some(c),
+                            fault_bound: f,
+                            ..SearchConfig::default()
+                        })
+                        .run()
+                        .unwrap();
+                    let witness = report
+                        .first_bug()
+                        .map(|b| (b.preemptions, b.faults, b.schedule.clone()));
+                    let level = witness.as_ref().map(|&(p, f, _)| (p, f));
+                    if spec.expected_faults > 0 && f == 0 {
+                        assert_eq!(level, None, "{bug} at (c={c}, f=0): found without faults");
+                    }
+                    if spec.expected_faults > 0 && f >= spec.expected_faults {
+                        assert_eq!(level, Some((0, 1)), "{bug} at (c={c}, f={f})");
+                    }
+                    (report.executions, report.distinct_states, witness)
+                })
+                .collect();
+            if spec.expected_faults == 0 {
+                assert!(
+                    row.iter().all(|cell| *cell == row[0]),
+                    "{bug} at c={c}: the control row moved with f: {row:?}"
+                );
+            }
         }
     }
 }
@@ -246,5 +306,96 @@ fn a_tight_budget_still_certifies_the_target_bound() {
     assert!(
         store.find_certification("icb", Some(c), 0).is_some(),
         "bound {c} not certified: {tight}"
+    );
+}
+
+/// On the exact-fingerprint VM models, a cache changes what a search
+/// costs, never what it finds: uncached, cold-cache and warm-cache runs
+/// agree on coverage and bugs, the cold run stores its subtrees, and
+/// the warm run is answered from the certification ledger without
+/// executing anything.
+#[test]
+fn exact_cache_runs_agree_with_the_uncached_run() {
+    use icb::cache::CacheStore;
+
+    let root = std::env::temp_dir().join(format!("icb-cache-agree-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = SearchConfig {
+        preemption_bound: Some(2),
+        ..SearchConfig::default()
+    };
+    for name in ["Transaction Manager", "Work Stealing Q."] {
+        let model = all_benchmarks()
+            .into_iter()
+            .find(|b| b.name == name)
+            .and_then(|b| b.vm_model)
+            .unwrap_or_else(|| panic!("{name} has a VM model"))();
+        assert!(model.fingerprints_are_exact());
+        let dir = root.join(name.replace(' ', "-"));
+        let cached = || {
+            let store = CacheStore::open(&dir, 1).unwrap();
+            Search::over(&model)
+                .config(config.clone())
+                .cache(&store)
+                .run()
+                .unwrap()
+        };
+        let uncached = Search::over(&model).config(config.clone()).run().unwrap();
+        let cold = cached();
+        let warm = cached();
+        for (label, run) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(
+                run.distinct_states, uncached.distinct_states,
+                "{name}: {label} coverage"
+            );
+            assert_eq!(run.bugs.len(), uncached.bugs.len(), "{name}: {label} bugs");
+        }
+        assert!(
+            cold.cache.as_ref().is_some_and(|c| c.stores > 0),
+            "{name}: the cold run stores nothing: {cold}"
+        );
+        assert!(
+            warm.cache.as_ref().is_some_and(|c| c.certified),
+            "{name}: the warm run is not certified: {warm}"
+        );
+        assert_eq!(warm.executions, 0, "{name}: the ledger must answer: {warm}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A runtime program's happens-before fingerprints are heuristic: the
+/// cached run is labelled non-exhaustive and never certifies, yet finds
+/// as many bugs as the uncached run.
+#[test]
+fn heuristic_cache_is_labelled_and_keeps_the_verdict() {
+    use icb::cache::CacheStore;
+
+    let program = all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "Bluetooth")
+        .map(|b| (b.correct)())
+        .expect("the Bluetooth benchmark");
+    assert!(!program.fingerprints_are_exact());
+    let dir = std::env::temp_dir().join(format!("icb-cache-heuristic-{}", std::process::id()));
+    let config = SearchConfig {
+        preemption_bound: Some(2),
+        ..SearchConfig::default()
+    };
+    let uncached = Search::over(&program).config(config.clone()).run().unwrap();
+    let store = CacheStore::open(&dir, 1).unwrap();
+    let cached = Search::over(&program)
+        .config(config)
+        .cache(&store)
+        .cache_heuristic(true)
+        .run()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(cached.bugs.len(), uncached.bugs.len());
+    assert!(
+        cached
+            .cache
+            .as_ref()
+            .is_some_and(|c| c.heuristic && !c.certified),
+        "{cached}"
     );
 }
