@@ -130,7 +130,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Err(Failure::Run(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("usage:");
@@ -171,7 +175,38 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a command failed. `main` follows a usage error with the usage
+/// text; a failure while running prints only its message.
+enum Failure {
+    /// An unknown command or flag, a missing argument or value, or a
+    /// flag value that does not parse.
+    Usage(String),
+    /// Anything that went wrong running a well-formed command.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Run(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Run(message.to_string())
+    }
+}
+
+fn usage(message: impl Into<String>) -> Failure {
+    Failure::Usage(message.into())
+}
+
+/// Positional argument `i`, or a usage error naming the missing `what`.
+fn positional<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a String, Failure> {
+    args.get(i).ok_or_else(|| usage(format!("missing {what}")))
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
     if let Some(command) = args.first() {
         check_flags(command, &args[1..])?;
     }
@@ -188,10 +223,10 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("report") => cmd_report(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
         Some("disasm") => cmd_disasm(&args[1..]),
-        other => Err(match other {
+        other => Err(usage(match other {
             Some(cmd) => format!("unknown command `{cmd}`"),
             None => "missing command".to_string(),
-        }),
+        })),
     }
 }
 
@@ -266,7 +301,7 @@ fn usage_flags(command: &str) -> Option<(&'static str, &'static str)> {
 /// Rejects a `--flag` that `command`'s usage line does not list, and a
 /// value-taking flag with no value after it, so a typo fails loudly
 /// instead of running with the flag silently dropped.
-fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+fn check_flags(command: &str, args: &[String]) -> Result<(), Failure> {
     let Some((valued, switches)) = usage_flags(command) else {
         return Ok(());
     };
@@ -277,10 +312,10 @@ fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
             continue;
         }
         if !lists(valued, arg) {
-            return Err(format!("unknown flag `{arg}` for `{command}`"));
+            return Err(usage(format!("unknown flag `{arg}` for `{command}`")));
         }
         if args.next().is_none_or(|value| value.starts_with("--")) {
-            return Err(format!("missing value for `{arg}`"));
+            return Err(usage(format!("missing value for `{arg}`")));
         }
     }
     Ok(())
@@ -290,12 +325,12 @@ fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
 fn open_jsonl(
     args: &[String],
     profile: bool,
-) -> Result<Option<JsonlSink<BufWriter<std::fs::File>>>, String> {
+) -> Result<Option<JsonlSink<BufWriter<std::fs::File>>>, Failure> {
     match flag_value(args, "--telemetry") {
         Some(spec) => {
             let path = spec
                 .strip_prefix("jsonl:")
-                .ok_or("unsupported --telemetry sink (expected jsonl:<path>)")?;
+                .ok_or_else(|| usage("unsupported --telemetry sink (expected jsonl:<path>)"))?;
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             Ok(Some(
@@ -321,24 +356,34 @@ fn close_jsonl(sink: JsonlSink<BufWriter<std::fs::File>>) {
     drop(sink.into_inner()); // flush the BufWriter
 }
 
-/// Parses `--jobs`, defaulting to one (sequential) worker.
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--jobs") {
-        Some(v) => v.parse().map_err(|_| "invalid --jobs".into()),
-        None => Ok(1),
-    }
+/// Parses the value of `flag`, when given; a value that does not parse
+/// is a usage error.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Failure> {
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|_| usage(format!("invalid {flag}"))))
+        .transpose()
 }
 
-/// Parses `--fault-bound`, defaulting to zero (no fault injection).
-fn parse_fault_bound(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--fault-bound") {
-        Some(v) => v.parse().map_err(|_| "invalid --fault-bound".into()),
-        None => Ok(0),
-    }
+/// Parses `--jobs`, defaulting to one (sequential) worker.
+fn parse_jobs(args: &[String]) -> Result<usize, Failure> {
+    Ok(parse_flag(args, "--jobs")?.unwrap_or(1))
+}
+
+/// The search limits `run` and `explain` share: `--budget` (default
+/// 200 000 executions), `--bound` and `--fault-bound` (default 0, no
+/// fault injection). The first bug found ends the search.
+fn search_config(args: &[String]) -> Result<SearchConfig, Failure> {
+    Ok(SearchConfig {
+        max_executions: Some(parse_flag(args, "--budget")?.unwrap_or(200_000)),
+        preemption_bound: parse_flag(args, "--bound")?,
+        fault_bound: parse_flag(args, "--fault-bound")?.unwrap_or(0),
+        stop_on_first_bug: true,
+        ..SearchConfig::default()
+    })
 }
 
 /// Maps a `--strategy` name to the session [`Strategy`].
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
+fn parse_strategy(name: &str) -> Result<Strategy, Failure> {
     match name {
         "icb" => Ok(Strategy::Icb),
         "dfs" => Ok(Strategy::Dfs),
@@ -346,18 +391,15 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
         "best-first" => Ok(Strategy::BestFirst),
         other => match other.strip_prefix("db:").map(str::parse) {
             Some(Ok(bound)) => Ok(Strategy::DepthBounded(bound)),
-            _ => Err(format!("unknown strategy `{other}`")),
+            _ => Err(usage(format!("unknown strategy `{other}`"))),
         },
     }
 }
 
 /// Parses `--checkpoint-every`, defaulting to one snapshot per 1000
 /// executions.
-fn checkpoint_every(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--checkpoint-every") {
-        Some(v) => v.parse().map_err(|_| "invalid --checkpoint-every".into()),
-        None => Ok(1000),
-    }
+fn checkpoint_every(args: &[String]) -> Result<usize, Failure> {
+    Ok(parse_flag(args, "--checkpoint-every")?.unwrap_or(1000))
 }
 
 /// Arms the per-execution watchdog on a runtime benchmark, so a hung
@@ -438,7 +480,7 @@ impl Observers {
         args: &[String],
         paper_threads: usize,
         metrics: Option<&Arc<MetricsRegistry>>,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, Failure> {
         let profile = args.iter().any(|a| a == "--profile");
         Ok(Observers {
             jsonl: open_jsonl(args, profile)?,
@@ -486,11 +528,8 @@ impl Observers {
         program: &AnyProgram,
         args: &[String],
         registry: Option<&MetricsRegistry>,
-    ) -> Result<(), String> {
-        let top: usize = match flag_value(args, "--top") {
-            Some(v) => v.parse().map_err(|_| "invalid --top")?,
-            None => 10,
-        };
+    ) -> Result<(), Failure> {
+        let top: usize = parse_flag(args, "--top")?.unwrap_or(10);
         if let Some(sink) = self.jsonl {
             close_jsonl(sink);
         }
@@ -524,31 +563,16 @@ impl Observers {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("missing benchmark name")?;
+fn cmd_run(args: &[String]) -> Result<(), Failure> {
+    let name = positional(args, 0, "benchmark name")?;
     let bench = find_benchmark(name)?;
     let mut program = build_program(&bench, flag_value(args, "--bug"))?;
 
-    let budget: usize = match flag_value(args, "--budget") {
-        Some(v) => v.parse().map_err(|_| "invalid --budget")?,
-        None => 200_000,
-    };
-    let bound: Option<usize> = match flag_value(args, "--bound") {
-        Some(v) => Some(v.parse().map_err(|_| "invalid --bound")?),
-        None => None,
-    };
-    let config = SearchConfig {
-        max_executions: Some(budget),
-        preemption_bound: bound,
-        fault_bound: parse_fault_bound(args)?,
-        stop_on_first_bug: true,
-        ..SearchConfig::default()
-    };
+    let config = search_config(args)?;
     let strat = flag_value(args, "--strategy").unwrap_or("icb");
     let strategy = parse_strategy(strat)?;
     let jobs = parse_jobs(args)?;
-    if let Some(ms) = flag_value(args, "--max-wall-time-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "invalid --max-wall-time-ms")?;
+    if let Some(ms) = parse_flag(args, "--max-wall-time-ms")? {
         arm_watchdog(&mut program, ms)?;
     }
 
@@ -596,8 +620,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     obs.finish(&report, &program, args, registry.as_deref())
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("missing checkpoint path")?;
+fn cmd_resume(args: &[String]) -> Result<(), Failure> {
+    let path = positional(args, 0, "checkpoint path")?;
     let snapshot = SearchSnapshot::read_from(Path::new(path))
         .map_err(|e| format!("cannot resume from {path}: {e}"))?;
 
@@ -801,15 +825,12 @@ fn render_top_frame(parsed: &[(String, f64)], rates: &[f64]) -> String {
     out
 }
 
-fn cmd_top(args: &[String]) -> Result<(), String> {
+fn cmd_top(args: &[String]) -> Result<(), Failure> {
     let addr = args
         .first()
-        .ok_or("missing metrics address (expected `explore top <host:port>`)")?;
+        .ok_or_else(|| usage("missing metrics address (expected `explore top <host:port>`)"))?;
     let once = args.iter().any(|a| a == "--once");
-    let interval = match flag_value(args, "--interval-ms") {
-        Some(v) => Duration::from_millis(v.parse().map_err(|_| "invalid --interval-ms")?),
-        None => Duration::from_millis(1000),
-    };
+    let interval = Duration::from_millis(parse_flag(args, "--interval-ms")?.unwrap_or(1000));
     // Rates come from deltas between polls of the cumulative execution
     // counter, keyed on the *server's* clock (icb_elapsed_seconds) so a
     // slow scrape cannot distort them.
@@ -823,7 +844,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
                 println!("metrics endpoint gone ({e}); run finished?");
                 return Ok(());
             }
-            Err(e) => return Err(format!("cannot scrape {addr}: {e}")),
+            Err(e) => return Err(format!("cannot scrape {addr}: {e}").into()),
         };
         connected = true;
         let parsed = parse_exposition(&body);
@@ -892,14 +913,13 @@ fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<(), String> 
     std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("missing benchmark name")?;
+fn cmd_explain(args: &[String]) -> Result<(), Failure> {
+    let name = positional(args, 0, "benchmark name")?;
     if name.starts_with("--") {
-        return Err(
+        return Err(usage(
             "missing benchmark name (explain needs a workload, even with --from, \
-                    to rebuild the program for replay)"
-                .into(),
-        );
+             to rebuild the program for replay)",
+        ));
     }
     let bench = find_benchmark(name)?;
     // Explaining needs a failing program: unlike `run`, an omitted --bug
@@ -929,27 +949,14 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             (schedule_from_jsonl(&text)?, None)
         }
         None => {
-            let budget: usize = match flag_value(args, "--budget") {
-                Some(v) => v.parse().map_err(|_| "invalid --budget")?,
-                None => 200_000,
-            };
-            let bound: Option<usize> = match flag_value(args, "--bound") {
-                Some(v) => Some(v.parse().map_err(|_| "invalid --bound")?),
-                None => None,
-            };
+            let config = search_config(args)?;
             let strat = flag_value(args, "--strategy").unwrap_or("icb");
             let strategy = parse_strategy(strat)?;
             let jobs = parse_jobs(args)?;
             println!("exploring {title} with {strat}…");
             let mut search = Search::over(&program)
                 .strategy(strategy)
-                .config(SearchConfig {
-                    max_executions: Some(budget),
-                    preemption_bound: bound,
-                    fault_bound: parse_fault_bound(args)?,
-                    stop_on_first_bug: true,
-                    ..SearchConfig::default()
-                })
+                .config(config)
                 .jobs(jobs);
             if let Some(sink) = profile.as_mut() {
                 search = search.observer(sink);
@@ -975,10 +982,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let wrap: usize = match flag_value(args, "--wrap") {
-        Some(v) => v.parse().map_err(|_| "invalid --wrap")?,
-        None => 120,
-    };
+    let wrap: usize = parse_flag(args, "--wrap")?.unwrap_or(120);
     let out_dir = flag_value(args, "--out")
         .map(str::to_string)
         .unwrap_or_else(|| format!("explain-{}", slugify(bench.name)));
@@ -1036,14 +1040,14 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("missing benchmark name")?;
+fn cmd_replay(args: &[String]) -> Result<(), Failure> {
+    let name = positional(args, 0, "benchmark name")?;
     let bench = find_benchmark(name)?;
     let program = build_program(&bench, flag_value(args, "--bug"))?;
     let schedule: Schedule = flag_value(args, "--schedule")
-        .ok_or("missing --schedule")?
+        .ok_or_else(|| usage("missing --schedule"))?
         .parse()
-        .map_err(|e| format!("{e}"))?;
+        .map_err(|e| usage(format!("{e}")))?;
     let mut replay = ReplayScheduler::new(schedule);
 
     // A replay is a one-execution "search": when --telemetry is given,
@@ -1088,13 +1092,10 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
+fn cmd_report(args: &[String]) -> Result<(), Failure> {
     let markdown = args.iter().any(|a| a == "--markdown");
     let stitch = args.iter().any(|a| a == "--stitch");
-    let top: usize = match flag_value(args, "--top") {
-        Some(v) => v.parse().map_err(|_| "invalid --top")?,
-        None => 10,
-    };
+    let top: usize = parse_flag(args, "--top")?.unwrap_or(10);
     // Everything that is not a flag (or a flag's value) is a log path.
     let mut paths: Vec<&str> = Vec::new();
     let mut skip = false;
@@ -1110,7 +1111,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         }
     }
     if paths.is_empty() {
-        return Err("missing telemetry log path (expected `explore report <run.jsonl>...`)".into());
+        return Err(usage(
+            "missing telemetry log path (expected `explore report <run.jsonl>...`)",
+        ));
     }
     let mut runs: Vec<RunReport> = Vec::with_capacity(paths.len());
     for path in paths {
@@ -1153,12 +1156,9 @@ fn known_programs() -> Vec<(u64, String)> {
     out
 }
 
-fn cmd_cache(args: &[String]) -> Result<(), String> {
-    let sub = args
-        .first()
-        .map(String::as_str)
-        .ok_or("missing cache subcommand (stats|ls|gc|invalidate)")?;
-    let dir = args.get(1).ok_or("missing cache directory")?;
+fn cmd_cache(args: &[String]) -> Result<(), Failure> {
+    let sub = positional(args, 0, "cache subcommand (stats|ls|gc|invalidate)")?;
+    let dir = positional(args, 1, "cache directory")?;
     let root = Path::new(dir);
     let label_of = |id: u64, labels: &[(u64, String)]| {
         labels
@@ -1166,7 +1166,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
             .find(|(known, _)| *known == id)
             .map_or_else(|| "(unknown program)".to_string(), |(_, l)| l.clone())
     };
-    match sub {
+    match sub.as_str() {
         "ls" => {
             let labels = known_programs();
             let programs = icb_cache::list_programs(root).map_err(|e| e.to_string())?;
@@ -1226,7 +1226,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "invalidate" => {
-            let name = args.get(2).ok_or("missing benchmark name")?;
+            let name = positional(args, 2, "benchmark name")?;
             let bench = find_benchmark(name)?;
             let bug = flag_value(args, "--bug");
             let program = build_program(&bench, bug)?;
@@ -1238,14 +1238,14 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!(
+        other => Err(usage(format!(
             "unknown cache subcommand `{other}` (expected stats|ls|gc|invalidate)"
-        )),
+        ))),
     }
 }
 
-fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("missing benchmark name")?;
+fn cmd_disasm(args: &[String]) -> Result<(), Failure> {
+    let name = positional(args, 0, "benchmark name")?;
     let bench = find_benchmark(name)?;
     let model = bench
         .vm_model

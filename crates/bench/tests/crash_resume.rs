@@ -326,6 +326,11 @@ fn corrupted_checkpoint_is_rejected_cleanly() {
             "{name}: expected `{expect}` in stderr, got: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{name}: panicked: {stderr}");
+        // A damaged file is a runtime failure, not a usage error.
+        assert!(
+            !stderr.contains("usage:"),
+            "{name}: printed usage: {stderr}"
+        );
         let _ = std::fs::remove_file(&bad);
     };
 

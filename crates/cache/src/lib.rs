@@ -7,7 +7,8 @@
 //!   recorded for that subtree. The search drivers probe it at every
 //!   work-item emission and skip subtrees a previous item (or a
 //!   previous *run*) already explored at least as thoroughly.
-//! * [`Segment`] — the versioned, checksummed on-disk unit. Segments
+//! * [`Segment`] — the on-disk unit, in the versioned, checksummed
+//!   container checkpoints use too ([`icb_core::durable`]). Segments
 //!   are written atomically (temp file + rename), keyed by a program
 //!   identity hash, and compacted back into one file on load.
 //! * [`CacheStore`] — the [`ExplorationCache`](icb_core::ExplorationCache)

@@ -2,14 +2,12 @@
 //! run, holding the run's new table entries, its visited-state seeds
 //! and any certification it earned.
 //!
-//! The format follows the checkpoint codec in `icb-core::snapshot`: a
-//! hand-rolled little-endian binary layout (the workspace builds
-//! hermetically, with no serialization crates) of an 8-byte magic, a
-//! format version, the payload length, an FNV-1a checksum of the
-//! payload, then the payload. Files are written atomically (temp file,
-//! fsync, rename), so a `SIGKILL` mid-write never destroys an existing
-//! segment, and corrupted or truncated files are rejected with a
-//! structured [`CacheError`], never a panic.
+//! The file is the container of `icb-core::durable`, the one checkpoints
+//! use too: magic, version, payload length and checksum, written
+//! atomically (temp file, fsync, rename), so a `SIGKILL` mid-write never
+//! destroys an existing segment, and corrupted or truncated files are
+//! rejected with a structured [`durable::Error`], never a panic. This
+//! module holds only the payload layout.
 //!
 //! Segments are append-only at the directory level: each persisting run
 //! adds `seg-<n>.bin` next to its predecessors instead of rewriting
@@ -18,37 +16,31 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use icb_core::hash::fingerprint_bytes;
+use icb_core::durable::{self, Format, Reader, Writer};
 use icb_core::Certification;
 
-/// Magic bytes opening every cache segment file.
-pub(crate) const MAGIC: &[u8; 8] = b"ICBCACHE";
 /// Current segment format version. Bump on any layout change —
 /// including any change to the fingerprint functions in
 /// `icb-core::hash`, which would silently re-key every entry.
 /// Version 2 added the certification fault bound.
 pub const VERSION: u32 = 2;
-/// Fixed header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
-/// Why a cache segment or store operation failed.
+/// The cache segment file format.
+pub(crate) static FORMAT: Format = Format {
+    magic: b"ICBCACHE",
+    version: VERSION,
+    name: "cache segment",
+    version_advice: "",
+};
+
+/// Why a cache store operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CacheError {
-    /// An underlying filesystem operation failed.
-    Io(String),
-    /// The file does not start with the segment magic bytes.
-    BadMagic,
-    /// The file uses a format version this build does not understand.
-    UnsupportedVersion(u32),
-    /// The file ends before the declared payload does.
-    Truncated,
-    /// The payload checksum does not match its contents.
-    ChecksumMismatch,
-    /// The payload decodes to structurally invalid data.
-    Corrupt(String),
+    /// A segment or the cache directory could not be written or read
+    /// back.
+    Durable(durable::Error),
     /// The segment was recorded for a different program than the one
     /// being explored — its entries would poison the search.
     WrongProgram {
@@ -59,19 +51,16 @@ pub enum CacheError {
     },
 }
 
+impl From<durable::Error> for CacheError {
+    fn from(e: durable::Error) -> Self {
+        CacheError::Durable(e)
+    }
+}
+
 impl fmt::Display for CacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CacheError::Io(e) => write!(f, "cache I/O error: {e}"),
-            CacheError::BadMagic => write!(f, "not a cache segment (bad magic)"),
-            CacheError::UnsupportedVersion(v) => {
-                write!(f, "unsupported cache segment format version {v}")
-            }
-            CacheError::Truncated => write!(f, "cache segment is truncated"),
-            CacheError::ChecksumMismatch => {
-                write!(f, "cache segment is corrupted (checksum mismatch)")
-            }
-            CacheError::Corrupt(what) => write!(f, "cache segment is corrupted ({what})"),
+            CacheError::Durable(e) => e.fmt(f),
             CacheError::WrongProgram { expected, found } => write!(
                 f,
                 "cache segment belongs to program {found:016x}, not {expected:016x}"
@@ -97,218 +86,62 @@ pub struct Segment {
 
 impl Segment {
     /// Serializes the segment and writes it to `path` atomically.
-    pub fn write_to(&self, path: &Path) -> Result<(), CacheError> {
-        let payload = self.encode();
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let mut tmp_os = path.as_os_str().to_owned();
-        tmp_os.push(".tmp");
-        let tmp = PathBuf::from(tmp_os);
+    pub fn write_to(&self, path: &Path) -> Result<(), durable::Error> {
         // Transient write failures (NFS hiccups, momentary ENOSPC) must
-        // not forfeit the run's coverage: retry the whole atomic write a
-        // bounded number of times before reporting the error.
-        icb_core::retry::with_backoff("cache segment write", || {
-            let io = |e: std::io::Error| CacheError::Io(e.to_string());
-            let mut file = fs::File::create(&tmp).map_err(io)?;
-            file.write_all(&bytes).map_err(io)?;
-            file.sync_all().map_err(io)?;
-            drop(file);
-            fs::rename(&tmp, path).map_err(io)
-        })
+        // not forfeit the run's coverage: `write_atomic` retries.
+        FORMAT.write_atomic(path, &FORMAT.seal(&self.encode()))
     }
 
     /// Reads and validates a segment from `path`.
-    pub fn read_from(path: &Path) -> Result<Self, CacheError> {
-        let bytes = fs::read(path).map_err(|e| CacheError::Io(e.to_string()))?;
-        Self::from_bytes(&bytes)
+    pub fn read_from(path: &Path) -> Result<Self, durable::Error> {
+        Self::from_bytes(&fs::read(path).map_err(|e| FORMAT.io_error(e))?)
     }
 
     /// Decodes a segment from its on-disk byte representation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CacheError> {
-        if bytes.len() < 8 {
-            return Err(CacheError::Truncated);
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(CacheError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(CacheError::Truncated);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(CacheError::UnsupportedVersion(version));
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != payload_len {
-            return Err(CacheError::Truncated);
-        }
-        if fingerprint_bytes(payload) != checksum {
-            return Err(CacheError::ChecksumMismatch);
-        }
-        Self::decode(&mut Reader {
-            buf: payload,
-            pos: 0,
-        })
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, durable::Error> {
+        FORMAT.open(bytes, Self::decode)
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
+        let mut w = Writer::default();
         w.u64(self.program_id);
-        w.len(self.entries.len());
-        for &(key, credit) in &self.entries {
+        w.list(&self.entries, |w, &(key, credit)| {
             w.u64(key);
             w.u32(credit);
-        }
-        w.len(self.seeds.len());
-        for &fp in &self.seeds {
-            w.u64(fp);
-        }
-        w.len(self.certifications.len());
-        for cert in &self.certifications {
+        });
+        w.list(&self.seeds, |w, &fp| w.u64(fp));
+        w.list(&self.certifications, |w, cert| {
             w.str(&cert.strategy);
             w.opt_usize(cert.bound);
             w.usize(cert.fault_bound);
             w.usize(cert.executions);
             w.usize(cert.distinct_states);
-        }
-        w.buf
+        });
+        w.into_bytes()
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CacheError> {
-        let program_id = r.u64()?;
-        let n = r.len()?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            entries.push((r.u64()?, r.u32()?));
-        }
-        let n = r.len()?;
-        let mut seeds = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            seeds.push(r.u64()?);
-        }
-        let n = r.len()?;
-        let mut certifications = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            certifications.push(Certification {
-                strategy: r.str()?,
-                bound: r.opt_usize()?,
-                fault_bound: r.usize()?,
-                executions: r.usize()?,
-                distinct_states: r.usize()?,
-            });
-        }
-        if r.pos != r.buf.len() {
-            return Err(CacheError::Corrupt("trailing bytes after payload".into()));
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, durable::Error> {
         Ok(Segment {
-            program_id,
-            entries,
-            seeds,
-            certifications,
+            program_id: r.u64()?,
+            entries: r.list(|r| Ok((r.u64()?, r.u32()?)))?,
+            seeds: r.list(Reader::u64)?,
+            certifications: r.list(|r| {
+                Ok(Certification {
+                    strategy: r.str()?,
+                    bound: r.opt_usize()?,
+                    fault_bound: r.usize()?,
+                    executions: r.usize()?,
+                    distinct_states: r.usize()?,
+                })
+            })?,
         })
-    }
-}
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn len(&mut self, v: usize) {
-        self.usize(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.bool(false),
-            Some(x) => {
-                self.bool(true);
-                self.usize(x);
-            }
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CacheError> {
-        let end = self.pos.checked_add(n).ok_or(CacheError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CacheError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self) -> Result<u8, CacheError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CacheError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CacheError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize, CacheError> {
-        usize::try_from(self.u64()?).map_err(|_| CacheError::Corrupt("value exceeds usize".into()))
-    }
-    fn len(&mut self) -> Result<usize, CacheError> {
-        self.usize()
-    }
-    fn bool(&mut self) -> Result<bool, CacheError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(CacheError::Corrupt(format!("invalid bool byte {b}"))),
-        }
-    }
-    fn opt_usize(&mut self) -> Result<Option<usize>, CacheError> {
-        if self.bool()? {
-            Ok(Some(self.usize()?))
-        } else {
-            Ok(None)
-        }
-    }
-    fn str(&mut self) -> Result<String, CacheError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CacheError::Corrupt("invalid UTF-8 string".into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icb_core::durable::ErrorKind;
 
     fn sample() -> Segment {
         Segment {
@@ -325,17 +158,6 @@ mod tests {
         }
     }
 
-    fn to_bytes(seg: &Segment) -> Vec<u8> {
-        let payload = seg.encode();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes
-    }
-
     #[test]
     fn round_trips_through_disk() {
         let dir = std::env::temp_dir().join(format!("icb-cache-seg-{}", std::process::id()));
@@ -344,37 +166,41 @@ mod tests {
         let seg = sample();
         seg.write_to(&path).unwrap();
         assert_eq!(Segment::read_from(&path).unwrap(), seg);
+        assert!(
+            !durable::temp_path(&path).exists(),
+            "temp file renamed away"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pins the bytes of format version 2 as written to disk, and cuts
+    /// the file at every length: a cut file is an error naming the
+    /// truncation, never a panic.
+    #[test]
+    fn written_bytes_are_pinned_and_every_cut_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("icb-cache-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg-0.bin");
+        sample().write_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), icb_core::hash::fingerprint_bytes(&bytes)),
+            (164, 3652702260165833370),
+            "segment bytes changed"
+        );
+        for cut in 0..bytes.len() {
+            let err = Segment::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corruption_is_rejected_not_panicked() {
-        let mut bytes = to_bytes(&sample());
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        assert_eq!(
-            Segment::from_bytes(&bytes),
-            Err(CacheError::ChecksumMismatch)
-        );
-
-        let mut bad_magic = to_bytes(&sample());
-        bad_magic[0] = b'X';
-        assert_eq!(Segment::from_bytes(&bad_magic), Err(CacheError::BadMagic));
-
-        let truncated = &to_bytes(&sample())[..40];
-        assert_eq!(Segment::from_bytes(truncated), Err(CacheError::Truncated));
-
-        let mut future = to_bytes(&sample());
-        future[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            Segment::from_bytes(&future),
-            Err(CacheError::UnsupportedVersion(99))
-        );
-    }
-
-    #[test]
     fn errors_render_clear_messages() {
-        assert!(CacheError::ChecksumMismatch.to_string().contains("corrupt"));
+        assert!(FORMAT
+            .error(ErrorKind::ChecksumMismatch)
+            .to_string()
+            .contains("corrupt"));
         let e = CacheError::WrongProgram {
             expected: 0xa,
             found: 0xb,

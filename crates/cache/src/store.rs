@@ -18,9 +18,10 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use icb_core::durable::{self, ErrorKind};
 use icb_core::{Certification, ExplorationCache, Tid};
 
-use crate::segment::{CacheError, Segment};
+use crate::segment::{CacheError, Segment, FORMAT};
 use crate::table::FingerprintTable;
 
 /// Shards for the visited-state set (contended by every worker at every
@@ -79,7 +80,7 @@ impl CacheStore {
     /// [`CacheError`] — a poisoned cache must never silently prune.
     pub fn open(root: &Path, program_id: u64) -> Result<Self, CacheError> {
         let dir = program_dir(root, program_id);
-        std::fs::create_dir_all(&dir).map_err(|e| CacheError::Io(e.to_string()))?;
+        std::fs::create_dir_all(&dir).map_err(io)?;
         let table = FingerprintTable::new();
         let mut seeds: HashSet<u64> = HashSet::new();
         let mut certs: Vec<Certification> = Vec::new();
@@ -108,18 +109,15 @@ impl CacheStore {
                         found: seg.program_id,
                     })
                 }
+                // Filesystem-level failures stay fatal: nothing says the
+                // data is bad, so quarantining would destroy good state.
+                Err(e) if matches!(e.kind, ErrorKind::Io(_)) => return Err(e.into()),
                 // Damaged or version-skewed segments must not kill the
                 // run: set them aside under a `.corrupt` name (for
                 // post-mortems) and continue with a cold cache. Losing
                 // coverage credit is always sound — the cache only ever
                 // *prunes*.
-                Err(
-                    err @ (CacheError::BadMagic
-                    | CacheError::Truncated
-                    | CacheError::ChecksumMismatch
-                    | CacheError::Corrupt(_)
-                    | CacheError::UnsupportedVersion(_)),
-                ) => {
+                Err(err) => {
                     let mut corrupt = path.as_os_str().to_owned();
                     corrupt.push(".corrupt");
                     let renamed = std::fs::rename(&path, PathBuf::from(corrupt));
@@ -134,9 +132,6 @@ impl CacheStore {
                     );
                     quarantined += 1;
                 }
-                // Filesystem-level failures stay fatal: nothing says the
-                // data is bad, so quarantining would destroy good state.
-                Err(e) => return Err(e),
             }
         }
         let mut loaded_seeds: Vec<u64> = seeds.iter().copied().collect();
@@ -291,21 +286,12 @@ pub struct ProgramEntry {
 /// Lists every program directory under `root`.
 pub fn list_programs(root: &Path) -> Result<Vec<ProgramEntry>, CacheError> {
     let mut out = Vec::new();
-    let entries = match std::fs::read_dir(root) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(CacheError::Io(e.to_string())),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| CacheError::Io(e.to_string()))?;
-        let name = entry.file_name();
-        let Some(program_id) = name.to_str().and_then(|s| u64::from_str_radix(s, 16).ok()) else {
+    for dir in files(root, Path::is_dir)? {
+        let name = dir.file_name().and_then(|n| n.to_str());
+        let Some(program_id) = name.and_then(|s| u64::from_str_radix(s, 16).ok()) else {
             continue;
         };
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let segs = segment_paths(&entry.path())?;
+        let segs = segment_paths(&dir)?;
         let bytes = segs
             .iter()
             .map(|p| p.metadata().map(|m| m.len()).unwrap_or(0))
@@ -327,19 +313,27 @@ pub fn invalidate(root: &Path, program_id: u64) -> Result<bool, CacheError> {
     if !dir.exists() {
         return Ok(false);
     }
-    std::fs::remove_dir_all(&dir)
-        .map(|()| true)
-        .map_err(|e| CacheError::Io(e.to_string()))
+    std::fs::remove_dir_all(&dir).map(|()| true).map_err(io)
 }
 
 /// Compacts every program under `root` (merging multi-segment piles)
-/// and drops unreadable segments and empty directories. Returns
-/// `(programs kept, segments removed)`.
+/// and drops unreadable segments, the temp files of segment writes
+/// interrupted before their rename, and empty directories. Segments
+/// quarantined as `.corrupt` stay for post-mortems. Returns
+/// `(programs kept, segments removed)`, temp files counted as segments.
 pub fn gc(root: &Path) -> Result<(usize, usize), CacheError> {
     let mut kept = 0;
     let mut removed = 0;
     for prog in list_programs(root)? {
         let dir = program_dir(root, prog.program_id);
+        let stale = files(&dir, |p| {
+            let target = p.with_extension("");
+            segment_seq(&target).is_some() && durable::temp_path(&target) == p
+        })?;
+        for path in stale {
+            std::fs::remove_file(&path).map_err(io)?;
+            removed += 1;
+        }
         // Drop segments that no longer decode (corruption, version
         // skew); whatever survives is merged by `open`.
         let mut readable = 0;
@@ -347,7 +341,7 @@ pub fn gc(root: &Path) -> Result<(usize, usize), CacheError> {
             match Segment::read_from(&path) {
                 Ok(seg) if seg.program_id == prog.program_id => readable += 1,
                 _ => {
-                    std::fs::remove_file(&path).map_err(|e| CacheError::Io(e.to_string()))?;
+                    std::fs::remove_file(&path).map_err(io)?;
                     removed += 1;
                 }
             }
@@ -362,26 +356,35 @@ pub fn gc(root: &Path) -> Result<(usize, usize), CacheError> {
     Ok((kept, removed))
 }
 
+fn io(e: std::io::Error) -> CacheError {
+    FORMAT.io_error(e).into()
+}
+
 fn program_dir(root: &Path, program_id: u64) -> PathBuf {
     root.join(format!("{program_id:016x}"))
 }
 
 /// Segment files of one program directory, sorted by sequence number.
 fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, CacheError> {
+    let mut out = files(dir, |p| segment_seq(p).is_some())?;
+    out.sort_by_key(|p| segment_seq(p));
+    Ok(out)
+}
+
+/// The entries of `dir` that `keep` accepts; none if `dir` is missing.
+fn files(dir: &Path, keep: impl Fn(&Path) -> bool) -> Result<Vec<PathBuf>, CacheError> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(CacheError::Io(e.to_string())),
+        Err(e) => return Err(io(e)),
     };
     for entry in entries {
-        let entry = entry.map_err(|e| CacheError::Io(e.to_string()))?;
-        let path = entry.path();
-        if segment_seq(&path).is_some() {
+        let path = entry.map_err(io)?.path();
+        if keep(&path) {
             out.push(path);
         }
     }
-    out.sort_by_key(|p| segment_seq(p));
     Ok(out)
 }
 
@@ -568,12 +571,21 @@ mod tests {
         assert_eq!(ls[0].segments, 1);
         assert!(ls[0].bytes > 0);
 
-        // Corrupt program 5's segment; gc must drop it and keep 3.
+        // Corrupt program 5's segment; gc must drop it and keep 3. An
+        // interrupted segment write left a temp file next to 3's
+        // segment: gc reclaims it, and keeps a quarantined segment.
         let seg5 = segment_paths(&program_dir(&root, 5)).unwrap()[0].clone();
         std::fs::write(&seg5, b"garbage").unwrap();
+        let dir3 = program_dir(&root, 3);
+        let tmp = dir3.join("seg-7.bin.tmp");
+        let quarantined = dir3.join("seg-6.bin.corrupt");
+        std::fs::write(&tmp, b"half a segment").unwrap();
+        std::fs::write(&quarantined, b"damaged").unwrap();
         let (kept, removed) = gc(&root).unwrap();
-        assert_eq!((kept, removed), (1, 1));
+        assert_eq!((kept, removed), (1, 2));
         assert_eq!(list_programs(&root).unwrap().len(), 1);
+        assert!(!tmp.exists(), "temp file of an interrupted write reclaimed");
+        assert!(quarantined.exists(), "quarantined segment kept");
 
         assert!(invalidate(&root, 3).unwrap());
         assert!(!invalidate(&root, 3).unwrap());

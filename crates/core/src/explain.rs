@@ -154,7 +154,7 @@ impl ExplainedWitness {
         out.push_str("{\n  \"version\": 1,\n");
         let _ = writeln!(out, "  \"outcome\": \"{}\",", outcome_kind(&self.outcome));
         if let Some(detail) = outcome_detail(&self.outcome) {
-            let _ = writeln!(out, "  \"detail\": {},", json_string(&detail));
+            let _ = writeln!(out, "  \"detail\": {},", render::json_string(&detail));
         }
         let _ = writeln!(out, "  \"schedule\": {},", schedule_array(&self.schedule));
         let _ = writeln!(out, "  \"preemptions\": {},", self.preemptions);
@@ -174,7 +174,7 @@ impl ExplainedWitness {
                  \"preemption\": {}, \"switch\": {}, \"blocking\": {}{}}}{}",
                 i,
                 e.chosen.index(),
-                json_string(&e.site.to_string()),
+                render::json_string(&e.site.to_string()),
                 e.enabled
                     .iter()
                     .map(|t| t.index().to_string())
@@ -483,27 +483,6 @@ fn fault_array(schedule: &Schedule) -> String {
     out
 }
 
-/// Quotes and escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn plural(n: usize) -> &'static str {
     if n == 1 {
         ""
@@ -695,11 +674,5 @@ mod tests {
         let md = w.to_markdown("counters");
         assert!(!md.contains("Injected faults"));
         assert!(!md.contains("injected fault"));
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

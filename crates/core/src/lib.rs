@@ -91,13 +91,13 @@
 pub mod bounds;
 pub mod cache;
 pub mod coverage;
+pub mod durable;
 pub mod explain;
 pub mod hash;
 pub mod metrics;
 pub mod program;
 pub mod render;
 pub mod replay;
-pub mod retry;
 pub mod rng;
 pub mod search;
 pub mod shrink;
@@ -113,7 +113,7 @@ pub use metrics::{MetricsBridge, MetricsRegistry, MetricsSnapshot, WorkerStats};
 pub use program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
 pub use replay::ReplayScheduler;
 pub use search::{Search, SearchError, Strategy};
-pub use snapshot::{Checkpointer, ResumeBase, SearchSnapshot, SnapshotError, StrategyState};
+pub use snapshot::{Checkpointer, ResumeBase, SearchSnapshot, StrategyState};
 pub use telemetry::{AbortReason, ChoiceKind, NoopObserver, Phase, SearchObserver, SiteId};
 pub use tid::Tid;
 pub use trace::{

@@ -1,5 +1,6 @@
 //! Human-readable rendering of traces: per-thread lanes with context
-//! switches and preemptions marked — for bug reports and examples.
+//! switches and preemptions marked — for bug reports and examples —
+//! and the JSON string encoder the JSON writers share.
 
 use std::fmt::Write as _;
 
@@ -140,6 +141,27 @@ pub fn compact(trace: &Trace) -> String {
     out
 }
 
+/// Quotes and escapes `s` as a JSON string literal.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,5 +268,13 @@ mod tests {
     #[should_panic(expected = "wrap width")]
     fn zero_wrap_width_is_rejected() {
         let _ = lanes_wrapped(&Trace::new(), 0);
+    }
+
+    #[test]
+    fn json_string_escapes() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("line\r\tbreak"), "\"line\\r\\tbreak\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

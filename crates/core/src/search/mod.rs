@@ -51,7 +51,8 @@ pub struct SearchConfig {
     /// explored in the order `(0,0), (0,1), …, (0,f), (1,0), …`, so the
     /// first bug found carries a minimum-`(preemptions, faults)`
     /// witness. 0 (the default) never injects a fault and reproduces
-    /// pre-fault behavior exactly.
+    /// pre-fault behavior exactly. Only [`Strategy::Icb`] supports a
+    /// non-zero fault bound; other strategies are rejected up front.
     pub fault_bound: usize,
     /// Abort the search as soon as the first bug is recorded.
     pub stop_on_first_bug: bool,

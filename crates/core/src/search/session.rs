@@ -266,19 +266,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Sets the iterative *fault bound*: designated fallible operations
-    /// (`try_lock`, condvar waits, bounded sends, `fail_point`s) become
-    /// searched binary choice points, explored in lexicographic
-    /// `(preemptions, faults)` level order so the first bug found
-    /// carries a minimum-`(preemptions, faults)` witness. Only
-    /// [`Strategy::Icb`] supports a non-zero fault bound; other
-    /// strategies are rejected up front. The default of 0 never injects
-    /// and behaves exactly as before the fault dimension existed.
-    pub fn fault_bound(mut self, bound: usize) -> Self {
-        self.config.fault_bound = bound;
-        self
-    }
-
     /// Shards the search over `jobs` worker threads (default 1). At 1
     /// the worker loop runs inline on the calling thread; above 1 each
     /// worker owns

@@ -11,25 +11,22 @@
 //! leaves the previous checkpoint intact, and a resumed run produces a
 //! final report identical to an uninterrupted one.
 //!
-//! The format is a hand-rolled little-endian binary codec (the workspace
-//! builds hermetically, with no serialization crates): an 8-byte magic,
-//! a format version, the payload length, an FNV-1a checksum of the
-//! payload, then the payload. Corrupted or truncated files are rejected
-//! with a structured [`SnapshotError`], never a panic.
+//! The payload layout lives here; the container around it (magic,
+//! version, length, checksum, atomic write) is the one in
+//! [`crate::durable`] that cache segments use too. Corrupted or
+//! truncated files are rejected with a structured [`durable::Error`],
+//! never a panic.
 
-use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::coverage::fingerprint_bytes;
+use crate::durable::{self, Format, Reader, Writer};
 use crate::search::{BoundStats, BugReport, QuarantinedTrace, SearchConfig};
 use crate::tid::Tid;
 use crate::trace::{ExecStats, ExecutionOutcome, Schedule};
 
-/// Magic bytes opening every snapshot file.
-const MAGIC: &[u8; 8] = b"ICBSNAPv";
-/// Current format version. Bump on any layout change.
+/// The checkpoint file format.
+/// Version history (bump on any layout change):
 /// v2: `SearchConfig` gained `coverage_stride`.
 /// v3: fault bounding — `SearchConfig` gained `fault_bound`, schedules
 /// carry fault sets, `ExecStats`/`BugReport`/`BoundStats` gained fault
@@ -39,53 +36,12 @@ const MAGIC: &[u8; 8] = b"ICBSNAPv";
 /// its unexplored walk-index ranges, at any job count.
 /// v5: `IcbState` counts the work deferred past the target bound
 /// (`beyond`) instead of storing it as `(bound + 1, _)` rows.
-const VERSION: u32 = 5;
-/// Fixed header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Why a snapshot could not be written or read back.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// An underlying filesystem operation failed.
-    Io(String),
-    /// The file does not start with the snapshot magic bytes.
-    BadMagic,
-    /// The file uses a format version this build does not understand.
-    UnsupportedVersion(u32),
-    /// The file ends before the declared payload does.
-    Truncated,
-    /// The payload checksum does not match its contents.
-    ChecksumMismatch,
-    /// The payload decodes to structurally invalid data.
-    Corrupt(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            SnapshotError::BadMagic => {
-                write!(f, "not a checkpoint file (bad magic)")
-            }
-            SnapshotError::UnsupportedVersion(v) => write!(
-                f,
-                "unsupported checkpoint format version {v} (this build reads version \
-                 {VERSION}); restart the run from scratch"
-            ),
-            SnapshotError::Truncated => {
-                write!(f, "checkpoint file is truncated")
-            }
-            SnapshotError::ChecksumMismatch => {
-                write!(f, "checkpoint file is corrupted (checksum mismatch)")
-            }
-            SnapshotError::Corrupt(what) => {
-                write!(f, "checkpoint file is corrupted ({what})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
+static FORMAT: Format = Format {
+    magic: b"ICBSNAPv",
+    version: 5,
+    name: "checkpoint file",
+    version_advice: "; restart the run from scratch",
+};
 
 /// The strategy-independent half of a checkpoint: cumulative counters,
 /// findings and the coverage summary of everything explored so far.
@@ -215,73 +171,25 @@ impl SearchSnapshot {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serializes the snapshot and writes it to `path` atomically: the
-    /// bytes go to a sibling temp file which is fsynced and renamed over
-    /// `path`, so a crash mid-write never destroys the previous
-    /// checkpoint.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        let payload = self.encode();
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let mut tmp_os = path.as_os_str().to_owned();
-        tmp_os.push(".tmp");
-        let tmp = PathBuf::from(tmp_os);
-        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
-        let mut file = fs::File::create(&tmp).map_err(io)?;
-        file.write_all(&bytes).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        fs::rename(&tmp, path).map_err(io)
+    /// Serializes the snapshot and writes it to `path` atomically (see
+    /// [`Format::write_atomic`]), so a crash mid-write never destroys
+    /// the previous checkpoint.
+    pub fn write_to(&self, path: &Path) -> Result<(), durable::Error> {
+        FORMAT.write_atomic(path, &FORMAT.seal(&self.encode()))
     }
 
     /// Reads and validates a snapshot from `path`.
-    pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::from_bytes(&bytes)
+    pub fn read_from(path: &Path) -> Result<Self, durable::Error> {
+        Self::from_bytes(&fs::read(path).map_err(|e| FORMAT.io_error(e))?)
     }
 
     /// Decodes a snapshot from its on-disk byte representation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != payload_len {
-            return Err(SnapshotError::Truncated);
-        }
-        if fingerprint_bytes(payload) != checksum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
-        let snap = Self::decode(&mut r)?;
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes".into()));
-        }
-        Ok(snap)
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, durable::Error> {
+        FORMAT.open(bytes, Self::decode)
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
+        let mut w = Writer::default();
         w.str(&self.strategy);
         w.list(&self.meta, |w, (k, v)| {
             w.str(k);
@@ -297,11 +205,11 @@ impl SearchSnapshot {
                 w.usize(s.bound_executions_base);
                 w.usize(s.bound_bugs_base);
                 w.opt_usize(s.completed_bound);
-                w.list(&s.work, Writer::schedule);
+                w.list(&s.work, encode_schedule);
                 w.list(&s.deferred, |w, (c, f, items)| {
                     w.usize(*c);
                     w.usize(*f);
-                    w.list(items, Writer::schedule);
+                    w.list(items, encode_schedule);
                 });
                 w.usize(s.beyond);
                 w.list(&s.bound_history, |w, b| {
@@ -317,13 +225,13 @@ impl SearchSnapshot {
                 });
                 w.bool(s.in_progress.is_some());
                 if let Some(item) = &s.in_progress {
-                    w.item(item);
+                    encode_item(&mut w, item);
                 }
             }
             StrategyState::Dfs { depth_bound, items } => {
                 w.u8(1);
                 w.opt_usize(*depth_bound);
-                w.list(items, Writer::item);
+                w.list(items, encode_item);
             }
             StrategyState::Random { seed, ranges } => {
                 w.u8(2);
@@ -334,10 +242,10 @@ impl SearchSnapshot {
                 });
             }
         }
-        w.buf
+        w.into_bytes()
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, durable::Error> {
         let strategy = r.str()?;
         let meta = r.list(|r| Ok((r.str()?, r.str()?)))?;
         let config = decode_config(r)?;
@@ -349,8 +257,8 @@ impl SearchSnapshot {
                 bound_executions_base: r.usize()?,
                 bound_bugs_base: r.usize()?,
                 completed_bound: r.opt_usize()?,
-                work: r.list(Reader::schedule)?,
-                deferred: r.list(|r| Ok((r.usize()?, r.usize()?, r.list(Reader::schedule)?)))?,
+                work: r.list(decode_schedule)?,
+                deferred: r.list(|r| Ok((r.usize()?, r.usize()?, r.list(decode_schedule)?)))?,
                 beyond: r.usize()?,
                 bound_history: r.list(|r| {
                     Ok(BoundStats {
@@ -361,21 +269,17 @@ impl SearchSnapshot {
                         bugs_found: r.usize()?,
                     })
                 })?,
-                in_progress: if r.bool()? { Some(r.item()?) } else { None },
+                in_progress: r.bool()?.then(|| decode_item(r)).transpose()?,
             }),
             1 => StrategyState::Dfs {
                 depth_bound: r.opt_usize()?,
-                items: r.list(Reader::item)?,
+                items: r.list(decode_item)?,
             },
             2 => StrategyState::Random {
                 seed: r.u64()?,
                 ranges: r.list(|r| Ok((r.u64()?, r.u64()?)))?,
             },
-            tag => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown strategy state tag {tag}"
-                )))
-            }
+            tag => return Err(r.corrupt(format!("unknown strategy state tag {tag}"))),
         };
         Ok(SearchSnapshot {
             strategy,
@@ -401,7 +305,7 @@ fn encode_config(w: &mut Writer, c: &SearchConfig) {
     w.usize(c.coverage_stride);
 }
 
-fn decode_config(r: &mut Reader<'_>) -> Result<SearchConfig, SnapshotError> {
+fn decode_config(r: &mut Reader<'_>) -> Result<SearchConfig, durable::Error> {
     Ok(SearchConfig {
         max_executions: r.opt_usize()?,
         preemption_bound: r.opt_usize()?,
@@ -423,7 +327,7 @@ fn encode_base(w: &mut Writer, b: &ResumeBase) {
     w.usize(b.buggy_executions);
     w.list(&b.bugs, |w, bug| {
         encode_outcome(w, &bug.outcome);
-        w.schedule(&bug.schedule);
+        encode_schedule(w, &bug.schedule);
         w.usize(bug.preemptions);
         w.usize(bug.faults);
         w.usize(bug.execution_index);
@@ -431,10 +335,10 @@ fn encode_base(w: &mut Writer, b: &ResumeBase) {
     });
     encode_stats(w, &b.max_stats);
     w.list(&b.quarantined, |w, q| {
-        w.schedule(&q.schedule);
+        encode_schedule(w, &q.schedule);
         w.usize(q.step);
-        w.tid(q.expected);
-        w.tids(&q.actual);
+        w.usize(q.expected.0);
+        encode_tids(w, &q.actual);
     });
     w.usize(b.quarantined_total);
     w.usize(b.watchdog_trips);
@@ -447,14 +351,14 @@ fn encode_base(w: &mut Writer, b: &ResumeBase) {
     });
 }
 
-fn decode_base(r: &mut Reader<'_>) -> Result<ResumeBase, SnapshotError> {
+fn decode_base(r: &mut Reader<'_>) -> Result<ResumeBase, durable::Error> {
     Ok(ResumeBase {
         executions: r.usize()?,
         buggy_executions: r.usize()?,
         bugs: r.list(|r| {
             Ok(BugReport {
                 outcome: decode_outcome(r)?,
-                schedule: r.schedule()?,
+                schedule: decode_schedule(r)?,
                 preemptions: r.usize()?,
                 faults: r.usize()?,
                 execution_index: r.usize()?,
@@ -464,10 +368,10 @@ fn decode_base(r: &mut Reader<'_>) -> Result<ResumeBase, SnapshotError> {
         max_stats: decode_stats(r)?,
         quarantined: r.list(|r| {
             Ok(QuarantinedTrace {
-                schedule: r.schedule()?,
+                schedule: decode_schedule(r)?,
                 step: r.usize()?,
-                expected: r.tid()?,
-                actual: r.tids()?,
+                expected: Tid(r.usize()?),
+                actual: decode_tids(r)?,
             })
         })?,
         quarantined_total: r.usize()?,
@@ -487,7 +391,7 @@ fn encode_stats(w: &mut Writer, s: &ExecStats) {
     w.usize(s.faults);
 }
 
-fn decode_stats(r: &mut Reader<'_>) -> Result<ExecStats, SnapshotError> {
+fn decode_stats(r: &mut Reader<'_>) -> Result<ExecStats, durable::Error> {
     Ok(ExecStats {
         steps: r.usize()?,
         blocking_steps: r.usize()?,
@@ -502,12 +406,12 @@ fn encode_outcome(w: &mut Writer, o: &ExecutionOutcome) {
         ExecutionOutcome::Terminated => w.u8(0),
         ExecutionOutcome::AssertionFailure { thread, message } => {
             w.u8(1);
-            w.tid(*thread);
+            w.usize(thread.0);
             w.str(message);
         }
         ExecutionOutcome::Deadlock { blocked } => {
             w.u8(2);
-            w.tids(blocked);
+            encode_tids(w, blocked);
         }
         ExecutionOutcome::DataRace { description } => {
             w.u8(3);
@@ -521,178 +425,82 @@ fn encode_outcome(w: &mut Writer, o: &ExecutionOutcome) {
         } => {
             w.u8(5);
             w.usize(*step);
-            w.tid(*expected);
-            w.tids(actual);
+            w.usize(expected.0);
+            encode_tids(w, actual);
         }
         ExecutionOutcome::WatchdogTimeout => w.u8(6),
     }
 }
 
-fn decode_outcome(r: &mut Reader<'_>) -> Result<ExecutionOutcome, SnapshotError> {
+fn decode_outcome(r: &mut Reader<'_>) -> Result<ExecutionOutcome, durable::Error> {
     Ok(match r.u8()? {
         0 => ExecutionOutcome::Terminated,
         1 => ExecutionOutcome::AssertionFailure {
-            thread: r.tid()?,
+            thread: Tid(r.usize()?),
             message: r.str()?,
         },
-        2 => ExecutionOutcome::Deadlock { blocked: r.tids()? },
+        2 => ExecutionOutcome::Deadlock {
+            blocked: decode_tids(r)?,
+        },
         3 => ExecutionOutcome::DataRace {
             description: r.str()?,
         },
         4 => ExecutionOutcome::StepLimitExceeded,
         5 => ExecutionOutcome::ReplayDivergence {
             step: r.usize()?,
-            expected: r.tid()?,
-            actual: r.tids()?,
+            expected: Tid(r.usize()?),
+            actual: decode_tids(r)?,
         },
         6 => ExecutionOutcome::WatchdogTimeout,
-        tag => return Err(SnapshotError::Corrupt(format!("unknown outcome tag {tag}"))),
+        tag => return Err(r.corrupt(format!("unknown outcome tag {tag}"))),
     })
 }
 
-struct Writer {
-    buf: Vec<u8>,
+fn encode_tids(w: &mut Writer, ts: &[Tid]) {
+    w.list(ts, |w, t| w.usize(t.0));
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn opt_usize(&mut self, v: Option<usize>) {
-        self.bool(v.is_some());
-        if let Some(x) = v {
-            self.usize(x);
-        }
-    }
-    /// A length-prefixed list, each element written by `item`.
-    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
-        self.usize(items.len());
-        for x in items {
-            item(self, x);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn tid(&mut self, t: Tid) {
-        self.usize(t.0);
-    }
-    fn tids(&mut self, ts: &[Tid]) {
-        self.list(ts, |w, &t| w.tid(t));
-    }
-    fn schedule(&mut self, s: &Schedule) {
-        self.tids(s.as_slice());
-        self.list(s.faults(), |w, &step| w.usize(step));
-    }
-    /// A work item: its prefix and branch stack.
-    fn item(&mut self, (prefix, stack): &(Schedule, Vec<BranchSnapshot>)) {
-        self.schedule(prefix);
-        self.list(stack, |w, b| {
-            w.usize(b.step);
-            w.tids(&b.options);
-            w.usize(b.next_ix);
-        });
-    }
+fn decode_tids(r: &mut Reader<'_>) -> Result<Vec<Tid>, durable::Error> {
+    r.list(|r| Ok(Tid(r.usize()?)))
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn encode_schedule(w: &mut Writer, s: &Schedule) {
+    encode_tids(w, s.as_slice());
+    w.list(s.faults(), |w, &step| w.usize(step));
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Truncated);
+fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, durable::Error> {
+    let mut s = Schedule::from(decode_tids(r)?);
+    s.set_faults(r.list(Reader::usize)?);
+    Ok(s)
+}
+
+/// A work item: its prefix and branch stack.
+fn encode_item(w: &mut Writer, (prefix, stack): &(Schedule, Vec<BranchSnapshot>)) {
+    encode_schedule(w, prefix);
+    w.list(stack, |w, b| {
+        w.usize(b.step);
+        encode_tids(w, &b.options);
+        w.usize(b.next_ix);
+    });
+}
+
+fn decode_item(r: &mut Reader<'_>) -> Result<(Schedule, Vec<BranchSnapshot>), durable::Error> {
+    let prefix = decode_schedule(r)?;
+    let stack = r.list(|r| {
+        let b = BranchSnapshot {
+            step: r.usize()?,
+            options: decode_tids(r)?,
+            next_ix: r.usize()?,
+        };
+        // An out-of-range option index would otherwise panic deep
+        // inside a scheduler.
+        if b.next_ix >= b.options.len() {
+            return Err(r.corrupt("branch stack entry with out-of-range option index"));
         }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| SnapshotError::Corrupt("value exceeds usize".into()))
-    }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("invalid bool byte {b}"))),
-        }
-    }
-    fn opt_usize(&mut self) -> Result<Option<usize>, SnapshotError> {
-        Ok(if self.bool()? {
-            Some(self.usize()?)
-        } else {
-            None
-        })
-    }
-    /// A length-prefixed list, each element read by `item`.
-    fn list<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
-    ) -> Result<Vec<T>, SnapshotError> {
-        let n = self.usize()?;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(item(self)?);
-        }
-        Ok(out)
-    }
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.usize()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("invalid UTF-8 string".into()))
-    }
-    fn tid(&mut self) -> Result<Tid, SnapshotError> {
-        Ok(Tid(self.usize()?))
-    }
-    fn tids(&mut self) -> Result<Vec<Tid>, SnapshotError> {
-        self.list(Reader::tid)
-    }
-    fn schedule(&mut self) -> Result<Schedule, SnapshotError> {
-        let mut s = Schedule::from(self.tids()?);
-        s.set_faults(self.list(Reader::usize)?);
-        Ok(s)
-    }
-    /// A work item: its prefix and branch stack.
-    fn item(&mut self) -> Result<(Schedule, Vec<BranchSnapshot>), SnapshotError> {
-        let prefix = self.schedule()?;
-        let stack = self.list(|r| {
-            let b = BranchSnapshot {
-                step: r.usize()?,
-                options: r.tids()?,
-                next_ix: r.usize()?,
-            };
-            // An out-of-range option index would otherwise panic deep
-            // inside a scheduler.
-            if b.next_ix >= b.options.len() {
-                return Err(SnapshotError::Corrupt(
-                    "branch stack entry with out-of-range option index".into(),
-                ));
-            }
-            Ok(b)
-        })?;
-        Ok((prefix, stack))
-    }
+        Ok(b)
+    })?;
+    Ok((prefix, stack))
 }
 
 /// Writes periodic checkpoints of a search to one path.
@@ -763,11 +571,11 @@ impl Checkpointer {
     }
 
     /// Writes `snapshot` atomically to the checkpoint path, retrying
-    /// transient I/O failures with bounded jittered backoff (see
-    /// [`crate::retry`]). After the attempts are exhausted the error is
-    /// returned; callers degrade to a logged warning and keep searching.
-    pub fn write(&mut self, snapshot: &SearchSnapshot) -> Result<(), SnapshotError> {
-        crate::retry::with_backoff("checkpoint write", || snapshot.write_to(&self.path))?;
+    /// transient I/O failures (see [`Format::write_atomic`]). After the
+    /// attempts are exhausted the error is returned; callers degrade to
+    /// a logged warning and keep searching.
+    pub fn write(&mut self, snapshot: &SearchSnapshot) -> Result<(), durable::Error> {
+        snapshot.write_to(&self.path)?;
         self.last_at = snapshot.base.executions;
         Ok(())
     }
@@ -838,6 +646,7 @@ pub mod interrupt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::ErrorKind;
 
     fn sample() -> SearchSnapshot {
         SearchSnapshot {
@@ -935,82 +744,77 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn dfs_and_random_states_round_trip() {
-        let mut snap = sample();
-        snap.strategy = "dfs".into();
-        snap.state = StrategyState::Dfs {
-            depth_bound: Some(40),
-            items: vec![
-                (
-                    vec![Tid(1)].into(),
-                    vec![BranchSnapshot {
-                        step: 1,
-                        options: vec![Tid(0), Tid(1), Tid(2)],
-                        next_ix: 2,
-                    }],
-                ),
-                (vec![Tid(2)].into(), Vec::new()),
-            ],
-        };
-        let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
-        assert_eq!(back, snap);
-
-        snap.strategy = "random".into();
-        snap.state = StrategyState::Random {
-            seed: 0xdead_beef,
-            ranges: vec![(3, 9), (12, 40)],
-        };
-        let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
-        assert_eq!(back, snap);
+    fn dfs_sample() -> SearchSnapshot {
+        SearchSnapshot {
+            strategy: "dfs".into(),
+            state: StrategyState::Dfs {
+                depth_bound: Some(40),
+                items: vec![
+                    (
+                        vec![Tid(1)].into(),
+                        vec![BranchSnapshot {
+                            step: 1,
+                            options: vec![Tid(0), Tid(1), Tid(2)],
+                            next_ix: 2,
+                        }],
+                    ),
+                    (vec![Tid(2)].into(), Vec::new()),
+                ],
+            },
+            ..sample()
+        }
     }
 
-    fn to_bytes(snap: &SearchSnapshot) -> Vec<u8> {
-        let payload = snap.encode();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes
-    }
-
-    #[test]
-    fn corruption_is_rejected_not_panicked() {
-        let mut bytes = to_bytes(&sample());
-        // Flip one payload byte: checksum must catch it.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        assert_eq!(
-            SearchSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::ChecksumMismatch)
-        );
-    }
-
-    #[test]
-    fn truncation_is_rejected_not_panicked() {
-        let bytes = to_bytes(&sample());
-        for cut in [0, 4, 8, HEADER_LEN, bytes.len() - 1] {
-            let err = SearchSnapshot::from_bytes(&bytes[..cut]).unwrap_err();
-            assert_eq!(err, SnapshotError::Truncated, "cut at {cut}");
+    fn random_sample() -> SearchSnapshot {
+        SearchSnapshot {
+            strategy: "random".into(),
+            state: StrategyState::Random {
+                seed: 0xdead_beef,
+                ranges: vec![(3, 9), (12, 40)],
+            },
+            ..sample()
         }
     }
 
     #[test]
-    fn wrong_magic_and_version_are_rejected() {
-        let mut bytes = to_bytes(&sample());
-        bytes[0] = b'X';
-        assert_eq!(
-            SearchSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadMagic)
-        );
-        let mut bytes = to_bytes(&sample());
-        bytes[8] = 99;
-        assert_eq!(
-            SearchSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        );
+    fn dfs_and_random_states_round_trip() {
+        for snap in [dfs_sample(), random_sample()] {
+            let back = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap();
+            assert_eq!(back, snap);
+        }
+    }
+
+    /// Pins the bytes of format version 5 as written to disk, one file
+    /// per strategy state, and cuts each file at every length: a cut
+    /// file is an error naming the truncation, never a panic.
+    #[test]
+    fn written_bytes_are_pinned_and_every_cut_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("icb-snap-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pin.ck");
+        for (snap, len, digest) in [
+            (sample(), 784, 13207880514485172220),
+            (dfs_sample(), 599, 7957255415963871550),
+            (random_sample(), 521, 6123514914925322052),
+        ] {
+            snap.write_to(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(
+                (bytes.len(), crate::hash::fingerprint_bytes(&bytes)),
+                (len, digest),
+                "{} checkpoint bytes changed",
+                snap.strategy
+            );
+            for cut in 0..bytes.len() {
+                let err = SearchSnapshot::from_bytes(&bytes[..cut]).unwrap_err();
+                assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn to_bytes(snap: &SearchSnapshot) -> Vec<u8> {
+        FORMAT.seal(&snap.encode())
     }
 
     #[test]
@@ -1026,11 +830,15 @@ mod tests {
 
     #[test]
     fn errors_render_clear_messages() {
-        assert!(SnapshotError::ChecksumMismatch
+        assert!(FORMAT
+            .error(ErrorKind::ChecksumMismatch)
             .to_string()
             .contains("corrupted"));
-        assert!(SnapshotError::Truncated.to_string().contains("truncated"));
-        let e = SnapshotError::UnsupportedVersion(3);
+        assert!(FORMAT
+            .error(ErrorKind::Truncated)
+            .to_string()
+            .contains("truncated"));
+        let e = FORMAT.error(ErrorKind::UnsupportedVersion(3));
         assert!(e.to_string().contains("version 3"), "{e}");
         assert!(e.to_string().contains("restart the run"), "{e}");
     }
@@ -1045,7 +853,7 @@ mod tests {
             let mut bytes = to_bytes(&sample());
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let err = SearchSnapshot::from_bytes(&bytes).unwrap_err();
-            assert_eq!(err, SnapshotError::UnsupportedVersion(version));
+            assert_eq!(err.kind, ErrorKind::UnsupportedVersion(version));
             assert!(err.to_string().contains("restart the run"), "{err}");
         }
     }
@@ -1071,10 +879,8 @@ mod tests {
         if let StrategyState::Icb(state) = &mut snap.state {
             state.in_progress.as_mut().unwrap().1[0].next_ix = 2;
         }
-        assert!(matches!(
-            SearchSnapshot::from_bytes(&to_bytes(&snap)),
-            Err(SnapshotError::Corrupt(_))
-        ));
+        let err = SearchSnapshot::from_bytes(&to_bytes(&snap)).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::Corrupt(_)), "{err}");
     }
 
     #[test]

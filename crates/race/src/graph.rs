@@ -29,6 +29,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use icb_core::render::json_string;
 use icb_core::{ExecutionOutcome, SiteId, Tid, Trace};
 
 use crate::clock::VectorClock;
@@ -237,11 +238,11 @@ impl CausalGraph {
                 .join(", ");
             let _ = writeln!(
                 out,
-                "    {{\"step\": {}, \"thread\": {}, \"site\": \"{}\", \
+                "    {{\"step\": {}, \"thread\": {}, \"site\": {}, \
                  \"preemption\": {}, \"clock\": [{}]}}{}",
                 n.step,
                 n.thread.index(),
-                json_escape(&n.site.to_string()),
+                json_string(&n.site.to_string()),
                 n.preemption,
                 clock,
                 if i + 1 < self.nodes.len() { "," } else { "" },
@@ -254,7 +255,7 @@ impl CausalGraph {
                 CausalEdgeKind::Sync => "sync-order",
             };
             let resource = match &e.resource {
-                Some(r) => format!("\"{}\"", json_escape(r)),
+                Some(r) => json_string(r),
                 None => "null".to_string(),
             };
             let _ = writeln!(
@@ -349,22 +350,6 @@ fn last_data_access(nodes: &[CausalNode], thread: Tid, before: usize) -> Option<
 
 fn dot_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

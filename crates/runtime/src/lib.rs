@@ -83,7 +83,7 @@ pub use program::RuntimeProgram;
 /// Use it wherever the program under test would consult an external
 /// operation that can transiently fail — an I/O call, an allocation, an
 /// RPC. Under a search with
-/// [`fault_bound`](icb_core::search::Search::fault_bound)` ≥ 1` the
+/// [`SearchConfig::fault_bound`](icb_core::search::SearchConfig::fault_bound)` ≥ 1` the
 /// checker explores both answers systematically, exactly as it explores
 /// scheduling decisions; at fault bound 0 (and under any pre-fault
 /// scheduler) it always returns `false`.

@@ -20,8 +20,8 @@
 //! ([`ChromeTrace::add_phases`]) are the one wall-clock exception, which
 //! is why they live behind a separate opt-in call.
 
-use std::fmt::Write as _;
-
+use icb_core::explain::outcome_kind;
+use icb_core::render::json_string;
 use icb_core::{ExecutionOutcome, Trace};
 
 use crate::report::PhaseTotals;
@@ -105,7 +105,7 @@ impl ChromeTrace {
         self.events.push(format!(
             "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"s\":\"p\",\"pid\":0,\"tid\":{},\
              \"args\":{{\"outcome\":{}}}}}",
-            json_string(&format!("outcome: {}", kind(outcome))),
+            json_string(&format!("outcome: {}", outcome_kind(outcome))),
             end,
             last_tid,
             json_string(&outcome.to_string()),
@@ -167,38 +167,6 @@ impl ChromeTrace {
 /// `trace.chrome.json` of an explanation bundle.
 pub fn execution_to_chrome(trace: &Trace, outcome: &ExecutionOutcome) -> String {
     ChromeTrace::new().add_execution(trace, outcome).render()
-}
-
-fn kind(outcome: &ExecutionOutcome) -> &'static str {
-    match outcome {
-        ExecutionOutcome::Terminated => "terminated",
-        ExecutionOutcome::AssertionFailure { .. } => "assertion-failure",
-        ExecutionOutcome::Deadlock { .. } => "deadlock",
-        ExecutionOutcome::DataRace { .. } => "data-race",
-        ExecutionOutcome::StepLimitExceeded => "step-limit-exceeded",
-        ExecutionOutcome::ReplayDivergence { .. } => "replay-divergence",
-        ExecutionOutcome::WatchdogTimeout => "watchdog-timeout",
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
+use icb_core::explain::outcome_kind;
+use icb_core::render::json_string;
 use icb_core::search::{BoundStats, BugReport, QuarantinedTrace, SearchReport};
 use icb_core::telemetry::{AbortReason, ResumeInfo};
 use icb_core::{
@@ -103,37 +105,8 @@ impl<W: Write> Drop for JsonlSink<W> {
     }
 }
 
-/// Escapes `s` into a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn outcome_fields(outcome: &ExecutionOutcome) -> String {
-    let kind = match outcome {
-        ExecutionOutcome::Terminated => "terminated",
-        ExecutionOutcome::AssertionFailure { .. } => "assertion-failure",
-        ExecutionOutcome::Deadlock { .. } => "deadlock",
-        ExecutionOutcome::DataRace { .. } => "data-race",
-        ExecutionOutcome::StepLimitExceeded => "step-limit-exceeded",
-        ExecutionOutcome::ReplayDivergence { .. } => "replay-divergence",
-        ExecutionOutcome::WatchdogTimeout => "watchdog-timeout",
-    };
+    let kind = outcome_kind(outcome);
     match outcome {
         ExecutionOutcome::Terminated
         | ExecutionOutcome::StepLimitExceeded
@@ -472,14 +445,6 @@ impl<W: Write> SearchObserver for JsonlSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak\t"), "\"line\\nbreak\\t\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn writes_one_object_per_line() {
