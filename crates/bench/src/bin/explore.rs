@@ -104,7 +104,7 @@
 //! cargo run --release -p icb-bench --bin explore -- disasm "Transaction Manager"
 //! ```
 
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -321,39 +321,78 @@ fn check_flags(command: &str, args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Opens the `--telemetry jsonl:<path>` sink, when requested.
-fn open_jsonl(
-    args: &[String],
-    profile: bool,
-) -> Result<Option<JsonlSink<BufWriter<std::fs::File>>>, Failure> {
-    match flag_value(args, "--telemetry") {
+/// Where the run's one JSONL event stream goes: the `--telemetry` file,
+/// the in-memory `--profile` fold, or both. A file write error closes
+/// the file but keeps the fold going, so `--profile` still sees the
+/// whole run.
+struct EventOut {
+    file: Option<BufWriter<std::fs::File>>,
+    file_failed: bool,
+    fold: Option<ReportBuilder>,
+}
+
+impl EventOut {
+    /// Runs `op` on the file, closing it on the first error.
+    fn on_file(&mut self, op: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>) {
+        if let Some(file) = &mut self.file {
+            if op(file).is_err() {
+                self.file = None;
+                self.file_failed = true;
+            }
+        }
+    }
+}
+
+impl Write for EventOut {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(fold) = &mut self.fold {
+            fold.write_all(buf)?;
+        }
+        self.on_file(|file| file.write_all(buf));
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.on_file(Write::flush);
+        Ok(())
+    }
+}
+
+/// Opens the run's one JSONL event stream, writing to the
+/// `--telemetry jsonl:<path>` file and, with `profile`, folding the
+/// stream (profile events included) into the report `explore report`
+/// would print for the same log; `None` when neither is asked for.
+fn open_events(args: &[String], profile: bool) -> Result<Option<JsonlSink<EventOut>>, Failure> {
+    let file = match flag_value(args, "--telemetry") {
         Some(spec) => {
             let path = spec
                 .strip_prefix("jsonl:")
                 .ok_or_else(|| usage("unsupported --telemetry sink (expected jsonl:<path>)"))?;
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            Ok(Some(
-                JsonlSink::new(BufWriter::new(file)).with_profile_events(profile),
-            ))
+            Some(BufWriter::new(file))
         }
-        None => Ok(None),
-    }
+        None if profile => None,
+        None => return Ok(None),
+    };
+    let out = EventOut {
+        file,
+        file_failed: false,
+        fold: profile.then(ReportBuilder::new),
+    };
+    Ok(Some(JsonlSink::new(out).with_profile_events(profile)))
 }
 
-/// The `--profile` observer: the JSONL event stream, profile events
-/// included, folded in memory into the report `explore report` would
-/// print for the same log.
-fn profile_sink() -> JsonlSink<ReportBuilder> {
-    JsonlSink::new(ReportBuilder::new()).with_profile_events(true)
-}
-
-/// Drains a finished JSONL sink, warning if events were lost.
-fn close_jsonl(sink: JsonlSink<BufWriter<std::fs::File>>) {
-    if sink.failed() {
+/// Closes the event stream, warning if events were lost; returns the
+/// `--profile` fold.
+fn close_events(sink: JsonlSink<EventOut>) -> Option<ReportBuilder> {
+    let failed = sink.failed();
+    let mut out = sink.into_inner();
+    let _ = out.flush();
+    if failed || out.file_failed {
         eprintln!("warning: telemetry stream hit a write error; events were dropped");
     }
-    drop(sink.into_inner()); // flush the BufWriter
+    out.fold
 }
 
 /// Parses the value of `flag`, when given; a value that does not parse
@@ -443,79 +482,63 @@ fn report_cache_errors(cache: &Option<CacheStore>) {
     }
 }
 
-/// Opens the `--serve-metrics <addr>` registry and HTTP listener, when
-/// requested. The registry comes back alongside the server so `run` /
-/// `resume` can wire the same instance into the search (and a shared
-/// [`ProgressReporter`]).
+/// Opens the run's one metrics registry when `--progress` or
+/// `--serve-metrics` asks for one, and the `--serve-metrics` HTTP
+/// listener serving it. The search updates the registry; the status
+/// line, `/metrics` and `explore top` all render it.
 fn open_metrics(
     args: &[String],
     paper_threads: usize,
-) -> Result<Option<(Arc<MetricsRegistry>, MetricsServer)>, String> {
-    match flag_value(args, "--serve-metrics") {
+) -> Result<(Option<Arc<MetricsRegistry>>, Option<MetricsServer>), String> {
+    let addr = flag_value(args, "--serve-metrics");
+    if addr.is_none() && !args.iter().any(|a| a == "--progress") {
+        return Ok((None, None));
+    }
+    let registry = Arc::new(MetricsRegistry::new());
+    // Theorem-1 ETA: n is the benchmark's thread count; b ≈ one
+    // blocking step (termination) per thread — good enough for an
+    // order-of-magnitude ETA.
+    let n = paper_threads as u64;
+    registry.set_theorem1(n, n);
+    let server = match addr {
         Some(addr) => {
-            let registry = Arc::new(MetricsRegistry::new());
-            // Same Theorem-1 parameterization the progress reporter
-            // uses, so /metrics and `explore top` carry the ETA too.
-            let n = paper_threads as u64;
-            registry.set_theorem1(n, n);
             let server = MetricsServer::start(addr, Arc::clone(&registry))
                 .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
             eprintln!("serving metrics at http://{}/metrics", server.addr());
-            Ok(Some((registry, server)))
+            Some(server)
         }
-        None => Ok(None),
-    }
+        None => None,
+    };
+    Ok((Some(registry), server))
 }
 
-/// The observer bundle shared by `run` and `resume`: an optional JSONL
-/// event stream, a live progress line, and the `--profile` report fold.
+/// The observer bundle shared by `run` and `resume`: the JSONL event
+/// stream (file and `--profile` fold) and a live progress line.
 struct Observers {
-    jsonl: Option<JsonlSink<BufWriter<std::fs::File>>>,
+    events: Option<JsonlSink<EventOut>>,
     progress: Option<ProgressReporter<std::io::Stderr>>,
-    profile: Option<JsonlSink<ReportBuilder>>,
 }
 
 impl Observers {
     fn from_args(
         args: &[String],
-        paper_threads: usize,
-        metrics: Option<&Arc<MetricsRegistry>>,
+        registry: Option<&Arc<MetricsRegistry>>,
     ) -> Result<Self, Failure> {
-        let profile = args.iter().any(|a| a == "--profile");
         Ok(Observers {
-            jsonl: open_jsonl(args, profile)?,
-            progress: args.iter().any(|a| a == "--progress").then(|| {
-                // n from the registry; b ≈ one blocking step
-                // (termination) per thread — good enough for an
-                // order-of-magnitude ETA.
-                let n = paper_threads as u64;
-                let reporter = ProgressReporter::stderr();
-                match metrics {
-                    // The search mirrors its events into a shared
-                    // registry (--serve-metrics): the reporter renders
-                    // that registry, so the status line, /metrics, and
-                    // `explore top` all show the same numbers.
-                    Some(registry) => reporter.with_registry(Arc::clone(registry)),
-                    None => {
-                        reporter.registry().set_theorem1(n, n);
-                        reporter
-                    }
-                }
-            }),
-            profile: profile.then(profile_sink),
+            events: open_events(args, args.iter().any(|a| a == "--profile"))?,
+            progress: registry
+                .filter(|_| args.iter().any(|a| a == "--progress"))
+                .map(|r| ProgressReporter::stderr(Arc::clone(r))),
         })
     }
 
     fn fan_out(&mut self) -> MultiObserver<'_> {
         let mut observers = MultiObserver::new();
-        if let Some(sink) = self.jsonl.as_mut() {
+        if let Some(sink) = self.events.as_mut() {
             observers.push(sink);
         }
         if let Some(reporter) = self.progress.as_mut() {
             observers.push(reporter);
-        }
-        if let Some(sink) = self.profile.as_mut() {
-            observers.push(sink);
         }
         observers
     }
@@ -530,12 +553,10 @@ impl Observers {
         registry: Option<&MetricsRegistry>,
     ) -> Result<(), Failure> {
         let top: usize = parse_flag(args, "--top")?.unwrap_or(10);
-        if let Some(sink) = self.jsonl {
-            close_jsonl(sink);
-        }
+        let fold = self.events.and_then(close_events);
         println!("{report}");
-        if let Some(sink) = self.profile {
-            let run = sink.into_inner().finish()?;
+        if let Some(fold) = fold {
+            let run = fold.finish()?;
             println!();
             print!("{}", render_text(&[run], top));
         }
@@ -577,9 +598,8 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     }
 
     let cache = open_cache(args, bench.name, flag_value(args, "--bug"), &program)?;
-    let metrics = open_metrics(args, bench.paper_threads)?;
-    let mut obs =
-        Observers::from_args(args, bench.paper_threads, metrics.as_ref().map(|(r, _)| r))?;
+    let (registry, server) = open_metrics(args, bench.paper_threads)?;
+    let mut obs = Observers::from_args(args, registry.as_ref())?;
     println!("exploring {} with {strat}…", bench.name);
 
     let report = {
@@ -589,7 +609,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             .config(config)
             .jobs(jobs)
             .observer(&mut observers);
-        if let Some((registry, _)) = &metrics {
+        if let Some(registry) = &registry {
             search = search.metrics(Arc::clone(registry));
         }
         if let Some(store) = &cache {
@@ -612,8 +632,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         }
         search.run().map_err(|e| e.to_string())?
     };
-    let registry = metrics.as_ref().map(|(r, _)| Arc::clone(r));
-    if let Some((_, server)) = metrics {
+    if let Some(server) = server {
         server.shutdown();
     }
     report_cache_errors(&cache);
@@ -649,9 +668,8 @@ fn cmd_resume(args: &[String]) -> Result<(), Failure> {
 
     let jobs = parse_jobs(args)?;
     let cache = open_cache(args, &bench_name, bug.as_deref(), &program)?;
-    let metrics = open_metrics(args, bench.paper_threads)?;
-    let mut obs =
-        Observers::from_args(args, bench.paper_threads, metrics.as_ref().map(|(r, _)| r))?;
+    let (registry, server) = open_metrics(args, bench.paper_threads)?;
+    let mut obs = Observers::from_args(args, registry.as_ref())?;
     let strat = snapshot.strategy.clone();
     println!(
         "resuming {} with {strat} from {path} ({} executions done)…",
@@ -664,7 +682,7 @@ fn cmd_resume(args: &[String]) -> Result<(), Failure> {
             .jobs(jobs)
             .observer(&mut observers)
             .checkpoint(ckpt);
-        if let Some((registry, _)) = &metrics {
+        if let Some(registry) = &registry {
             search = search.metrics(Arc::clone(registry));
         }
         if let Some(store) = &cache {
@@ -676,8 +694,7 @@ fn cmd_resume(args: &[String]) -> Result<(), Failure> {
             .run()
             .map_err(|e| format!("cannot resume from {path}: {e}"))?
     };
-    let registry = metrics.as_ref().map(|(r, _)| Arc::clone(r));
-    if let Some((_, server)) = metrics {
+    if let Some(server) = server {
         server.shutdown();
     }
     report_cache_errors(&cache);
@@ -938,9 +955,11 @@ fn cmd_explain(args: &[String]) -> Result<(), Failure> {
     let program = build_program(&bench, Some(&bug_name))?;
     let title = format!("{} --bug {}", bench.name, bug_name);
 
-    let registry = MetricsRegistry::new();
     // Only `--timings` reads the search's phase totals.
-    let mut profile = args.iter().any(|a| a == "--timings").then(profile_sink);
+    let mut profile = args
+        .iter()
+        .any(|a| a == "--timings")
+        .then(|| JsonlSink::new(ReportBuilder::new()).with_profile_events(true));
     let (witness_schedule, reported_preemptions) = match flag_value(args, "--from") {
         Some(path) => {
             let text =
@@ -969,7 +988,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Failure> {
         }
     };
 
-    let witness = ExplainedWitness::explain_with_metrics(&program, &witness_schedule, &registry);
+    let witness = ExplainedWitness::explain(&program, &witness_schedule);
     if let Some(min) = reported_preemptions {
         // ICB's headline guarantee: the witness the search reports is
         // already preemption-minimal, and shrinking must preserve that.
@@ -1054,7 +1073,8 @@ fn cmd_replay(args: &[String]) -> Result<(), Failure> {
     // wrap the execution in the usual event grammar so `explore report`
     // can digest the log like any other run. Profile events are always
     // on — a single replay is exactly when per-step detail is cheap.
-    let result = match open_jsonl(args, true)? {
+    let sink = open_events(args, false)?.map(|sink| sink.with_profile_events(true));
+    let result = match sink {
         Some(mut sink) => {
             let mut coverage = CoverageTracker::new();
             sink.search_started("replay");
@@ -1077,7 +1097,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Failure> {
                 max_stats: result.stats,
                 ..SearchReport::default()
             });
-            close_jsonl(sink);
+            close_events(sink);
             result
         }
         None => program.execute(&mut replay, &mut NullSink),
@@ -1343,6 +1363,37 @@ mod tests {
         assert_eq!(sparkline(&[]), "");
         // An all-zero window stays flat instead of dividing by zero.
         assert_eq!(sparkline(&[0.0, 0.0]), "▁▁");
+    }
+
+    /// `/dev/full` fails every write with ENOSPC once the `BufWriter`
+    /// flushes: the file is closed, the `--profile` fold still sees the
+    /// whole run.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failing_telemetry_file_leaves_the_profile_fold_whole() {
+        use icb_core::{ExecStats, ExecutionOutcome, SearchObserver};
+        let args = ["--telemetry".to_string(), "jsonl:/dev/full".to_string()];
+        let Ok(Some(mut sink)) = open_events(&args, true) else {
+            panic!("cannot open the event stream");
+        };
+        sink.search_started("dfs");
+        let runs = 20_000;
+        for i in 1..=runs {
+            sink.execution_finished(i, &ExecStats::default(), &ExecutionOutcome::Terminated, i);
+        }
+        sink.search_finished(&SearchReport {
+            strategy: "dfs".into(),
+            executions: runs,
+            distinct_states: runs,
+            completed: true,
+            ..SearchReport::default()
+        });
+        assert!(!sink.failed(), "a file error must not stop the sink");
+        let out = sink.into_inner();
+        assert!(out.file_failed);
+        let report = out.fold.unwrap().finish().unwrap();
+        assert_eq!(report.executions, runs);
+        assert_eq!(report.aborted, None);
     }
 
     #[test]

@@ -131,3 +131,67 @@ fn explore_serves_metrics_and_top_renders_a_frame() {
     assert!(frame.contains("[icb]"), "{frame}");
     assert!(frame.contains("42 execs"), "{frame}");
 }
+
+/// The executions of the report `explore run` prints: `[icb] N
+/// executions, …`.
+fn reported_executions(stdout: &str) -> usize {
+    stdout
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("[icb] ")?
+                .split_once(" executions, ")?
+                .0
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no executions line: {stdout}"))
+}
+
+#[test]
+fn progress_renders_the_search_registry() {
+    for jobs in ["1", "2"] {
+        for serve in [false, true] {
+            let mut args = vec![
+                "run",
+                "Bluetooth",
+                "--bound",
+                "2",
+                "--progress",
+                "--jobs",
+                jobs,
+            ];
+            if serve {
+                args.extend(["--serve-metrics", "127.0.0.1:0"]);
+            }
+            let output = Command::new(env!("CARGO_BIN_EXE_explore"))
+                .args(&args)
+                .output()
+                .expect("explore runs");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(output.status.success(), "{args:?}: {stderr}");
+            for k in 0..=2 {
+                assert!(
+                    stderr.contains(&format!("] entering bound {k} (")),
+                    "{args:?}: no entering bound {k}: {stderr}"
+                );
+                assert!(
+                    stderr.contains(&format!("] bound {k} done: ")),
+                    "{args:?}: no bound {k} done: {stderr}"
+                );
+            }
+            let last: usize = stderr
+                .lines()
+                .rev()
+                .find_map(|l| {
+                    l.strip_prefix("[icb] ")?
+                        .split_once(" execs")?
+                        .0
+                        .parse()
+                        .ok()
+                })
+                .unwrap_or_else(|| panic!("{args:?}: no status line: {stderr}"));
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            assert_eq!(last, reported_executions(&stdout), "{args:?}: {stderr}");
+        }
+    }
+}

@@ -21,7 +21,6 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::MetricsRegistry;
 use crate::program::ControlledProgram;
 use crate::render;
 use crate::replay::ReplayScheduler;
@@ -103,35 +102,7 @@ impl ExplainedWitness {
     /// contract as
     /// [`shrink::minimize_witness`](crate::shrink::minimize_witness)).
     pub fn explain(program: &dyn ControlledProgram, schedule: &Schedule) -> Self {
-        Self::build(program, schedule, None)
-    }
-
-    /// Like [`explain`](ExplainedWitness::explain), additionally feeding
-    /// the shrinking replay count into `registry` (the
-    /// `icb_shrink_replays_total` counter), so live dashboards account
-    /// for shrinking work instead of silently under-reporting replays.
-    pub fn explain_with_metrics(
-        program: &dyn ControlledProgram,
-        schedule: &Schedule,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        Self::build(program, schedule, Some(registry))
-    }
-
-    /// Explains the witness carried by a search [`BugReport`].
-    pub fn from_report(program: &dyn ControlledProgram, report: &BugReport) -> Self {
-        Self::explain(program, &report.schedule)
-    }
-
-    fn build(
-        program: &dyn ControlledProgram,
-        schedule: &Schedule,
-        registry: Option<&MetricsRegistry>,
-    ) -> Self {
         let shrunk = minimize_witness(program, schedule);
-        if let Some(r) = registry {
-            r.shrink_replays_add(shrunk.replays);
-        }
         let mut replay = ReplayScheduler::new(shrunk.schedule.clone());
         let result = program.execute(&mut replay, &mut NullSink);
         let nearest_passing = nearest_passing(program, &result.trace);
@@ -144,6 +115,11 @@ impl ExplainedWitness {
             trace: result.trace,
             nearest_passing,
         }
+    }
+
+    /// Explains the witness carried by a search [`BugReport`].
+    pub fn from_report(program: &dyn ControlledProgram, report: &BugReport) -> Self {
+        Self::explain(program, &report.schedule)
     }
 
     /// Renders the witness as deterministic JSON (`witness.json` of an
@@ -530,6 +506,7 @@ mod tests {
             "shrinking preserves minimality"
         );
         assert!(w.schedule.len() <= bug.schedule.len());
+        assert!(w.shrink_replays > 0);
         assert_eq!(w.trace.preemptions(), w.preemptions);
         let np = w
             .nearest_passing
@@ -559,16 +536,6 @@ mod tests {
         assert_eq!(w.preemptions, 0);
         assert!(w.nearest_passing.is_none());
         assert!(w.to_markdown("counters").contains("No preemption to flip"));
-    }
-
-    #[test]
-    fn explain_feeds_the_shrink_counter() {
-        let p = buggy();
-        let bug = first_bug(&p);
-        let registry = MetricsRegistry::new();
-        let w = ExplainedWitness::explain_with_metrics(&p, &bug.schedule, &registry);
-        assert!(w.shrink_replays > 0);
-        assert_eq!(registry.snapshot().shrink_replays, w.shrink_replays as u64);
     }
 
     #[test]

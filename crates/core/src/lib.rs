@@ -88,6 +88,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+// Lets `search/testprog.rs`, which the integration tests compile too,
+// name this crate the same way they do.
+#[cfg(test)]
+extern crate self as icb_core;
+
 pub mod bounds;
 pub mod cache;
 pub mod coverage;
@@ -109,7 +114,7 @@ pub mod trace;
 pub use cache::{Certification, ExplorationCache, NoopCache};
 pub use coverage::{CoverageTracker, NullSink, StateSink};
 pub use explain::{ExplainedWitness, NearestPassing};
-pub use metrics::{MetricsBridge, MetricsRegistry, MetricsSnapshot, WorkerStats};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, WorkerStats};
 pub use program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
 pub use replay::ReplayScheduler;
 pub use search::{Search, SearchError, Strategy};

@@ -1,7 +1,8 @@
 //! Live search metrics: a lock-free registry updated on hot paths.
 //!
-//! The observer interface ([`SearchObserver`]) is a *stream*: events are
-//! pushed to a single consumer as they happen. A [`MetricsRegistry`] is
+//! The observer interface ([`SearchObserver`](crate::SearchObserver))
+//! is a *stream*: events are pushed to a single consumer as they
+//! happen. A [`MetricsRegistry`] is
 //! the complementary *state* view — a set of atomic counters, gauges and
 //! fixed-bucket histograms that any thread can update and any thread can
 //! read at any time. It exists for live introspection: a Prometheus-style
@@ -11,12 +12,11 @@
 //!
 //! Three kinds of producer feed one registry:
 //!
-//! * [`MetricsBridge`] wraps the search's observer and mirrors the event
-//!   stream into the registry (executions, bounds, bugs, checkpoints,
-//!   cache events). Cumulative quantities use `fetch_max` of the
-//!   driver-reported cumulative index, so the registry's
-//!   `executions` equals the final report's count exactly — never an
-//!   independent tally that could drift.
+//! * The search's ledger updates it next to every event it emits
+//!   (executions, bounds, bugs, checkpoints, cache events), so the
+//!   registry counts exactly what the final report does. Cumulative
+//!   quantities advance by `fetch_max` of the ledger's cumulative
+//!   index, which also lets a resume seed them from the checkpoint.
 //! * The parallel driver's workers, pump and
 //!   [`Frontier`](crate::search::Frontier) update the
 //!   observer-invisible quantities directly: per-worker busy/idle time,
@@ -155,10 +155,10 @@ pub struct MetricsSnapshot {
 
 /// Lock-free live counters, gauges and histograms for one search.
 ///
-/// Shared as `Arc<MetricsRegistry>` between the search session (via
-/// [`MetricsBridge`]), the parallel driver's workers, the frontier, the
-/// cache table, and any number of readers (scrape endpoint, status
-/// board). See the [module docs](self).
+/// Shared as `Arc<MetricsRegistry>` between the search's ledger, the
+/// parallel driver's workers, the frontier, the cache table, and any
+/// number of readers (scrape endpoint, status board). See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct MetricsRegistry {
     created: Instant,
@@ -254,7 +254,7 @@ impl MetricsRegistry {
     // -- search lifecycle --------------------------------------------------
 
     /// Anchors `elapsed` (and thus rates and ETAs) to now. Called once
-    /// by the bridge on `search_started`.
+    /// by the search's ledger on `search_started`.
     pub fn mark_started(&self) {
         let mut g = self.started.lock().unwrap();
         if g.is_none() {
@@ -288,13 +288,13 @@ impl MetricsRegistry {
             .store(workers as u64, Ordering::Relaxed);
     }
 
-    // -- event-stream mirror (driven by MetricsBridge) ---------------------
+    // -- event-stream mirror (driven by the search's ledger) ---------------
 
     /// Mirrors one `execution_finished` event: `index` is the cumulative
     /// execution count, `distinct_states` the cumulative coverage.
     ///
-    /// Cumulative counters advance by `fetch_max`, so replaying events
-    /// (or feeding the registry from two observers) cannot overcount.
+    /// Cumulative counters advance by `fetch_max`, so a stale index
+    /// cannot move them back.
     pub fn record_execution(
         &self,
         index: usize,
@@ -683,185 +683,21 @@ impl MetricsRegistry {
     }
 }
 
-use crate::search::{BoundStats, BugReport, QuarantinedTrace};
-use crate::telemetry::{AbortReason, ChoiceKind, Phase, SearchObserver, SiteId};
-
-/// Mirrors a search's event stream into a [`MetricsRegistry`] while
-/// forwarding every event — and the profiling gates — to the wrapped
-/// observer unchanged.
-///
-/// The bridge also emits [`SearchObserver::metrics_snapshot`] to the
-/// wrapped observer at the natural cadence points of a long run: after
-/// every durable checkpoint, after every completed bound, and once right
-/// before `search_finished` — so a JSONL log carries a throughput series
-/// a report can plot offline, and a resumed run's segments stitch into a
-/// continuous series.
-///
-/// [`SearchObserver::metrics_snapshot`]: crate::SearchObserver::metrics_snapshot
-pub struct MetricsBridge<'a> {
-    registry: std::sync::Arc<MetricsRegistry>,
-    inner: &'a mut dyn SearchObserver,
-}
-
-impl std::fmt::Debug for MetricsBridge<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsBridge").finish_non_exhaustive()
-    }
-}
-
-impl<'a> MetricsBridge<'a> {
-    /// Wraps `inner`, mirroring its event stream into `registry`.
-    pub fn new(
-        registry: std::sync::Arc<MetricsRegistry>,
-        inner: &'a mut dyn SearchObserver,
-    ) -> Self {
-        MetricsBridge { registry, inner }
-    }
-
-    fn emit_snapshot(&mut self) {
-        let snapshot = self.registry.snapshot();
-        self.inner.metrics_snapshot(&snapshot);
-    }
-}
-
-impl SearchObserver for MetricsBridge<'_> {
-    fn search_started(&mut self, strategy: &str) {
-        self.registry.mark_started();
-        self.registry.set_strategy(strategy);
-        self.inner.search_started(strategy);
-    }
-
-    fn execution_started(&mut self, index: usize) {
-        self.inner.execution_started(index);
-    }
-
-    fn execution_finished(
-        &mut self,
-        index: usize,
-        stats: &ExecStats,
-        outcome: &ExecutionOutcome,
-        distinct_states: usize,
-    ) {
-        self.registry
-            .record_execution(index, stats, outcome, distinct_states);
-        self.inner
-            .execution_finished(index, stats, outcome, distinct_states);
-    }
-
-    fn bound_started(&mut self, bound: usize, work_items: usize) {
-        self.registry.record_bound_started(bound);
-        self.inner.bound_started(bound, work_items);
-    }
-
-    fn bound_completed(&mut self, stats: &BoundStats, wall_time: Duration) {
-        self.inner.bound_completed(stats, wall_time);
-        self.emit_snapshot();
-    }
-
-    fn bug_found(&mut self, bug: &BugReport) {
-        self.registry.bug_reported();
-        self.inner.bug_found(bug);
-    }
-
-    fn work_item_deferred(&mut self, next_bound: usize) {
-        self.registry.work_item_deferred();
-        self.inner.work_item_deferred(next_bound);
-    }
-
-    fn work_queue_depth(&mut self, depth: usize) {
-        self.registry.set_work_queue_depth(depth);
-        self.inner.work_queue_depth(depth);
-    }
-
-    fn race_detected(&mut self, description: &str) {
-        self.registry.race_detected();
-        self.inner.race_detected(description);
-    }
-
-    fn worker_stamp(&mut self, worker: usize, seq: u64, at: Duration) {
-        self.inner.worker_stamp(worker, seq, at);
-    }
-
-    fn wants_choice_points(&self) -> bool {
-        self.inner.wants_choice_points()
-    }
-
-    fn wants_phase_timing(&self) -> bool {
-        self.inner.wants_phase_timing()
-    }
-
-    fn choice_point(&mut self, site: SiteId, bound: usize, kind: ChoiceKind) {
-        self.inner.choice_point(site, bound, kind);
-    }
-
-    fn preemption_taken(&mut self, site: SiteId) {
-        self.inner.preemption_taken(site);
-    }
-
-    fn fault_injected(&mut self, site: SiteId, step: usize) {
-        self.registry.fault_injected();
-        self.inner.fault_injected(site, step);
-    }
-
-    fn worker_panic(&mut self, worker: usize, message: &str) {
-        self.inner.worker_panic(worker, message);
-    }
-
-    fn phase_time(&mut self, phase: Phase, elapsed: Duration) {
-        self.inner.phase_time(phase, elapsed);
-    }
-
-    fn search_aborted(&mut self, reason: AbortReason) {
-        self.inner.search_aborted(reason);
-    }
-
-    fn search_resumed(&mut self, info: &ResumeInfo) {
-        self.registry.record_resume(info);
-        self.inner.search_resumed(info);
-    }
-
-    fn checkpoint_written(&mut self, executions: usize) {
-        self.registry.checkpoint_written();
-        self.inner.checkpoint_written(executions);
-        self.emit_snapshot();
-    }
-
-    fn trace_quarantined(&mut self, quarantined: &QuarantinedTrace) {
-        self.registry.trace_quarantined();
-        self.inner.trace_quarantined(quarantined);
-    }
-
-    fn cache_hit(&mut self, count: usize) {
-        self.registry.cache_pruned(count);
-        self.inner.cache_hit(count);
-    }
-
-    fn cache_store(&mut self, count: usize) {
-        self.registry.cache_stored(count);
-        self.inner.cache_store(count);
-    }
-
-    fn bound_certified(&mut self, bound: Option<usize>) {
-        self.inner.bound_certified(bound);
-    }
-
-    fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) {
-        // A bridge nested inside another bridge forwards the outer
-        // snapshot unchanged rather than re-snapshotting.
-        self.inner.metrics_snapshot(snapshot);
-    }
-
-    fn search_finished(&mut self, report: &SearchReport) {
-        self.registry.record_finished(report);
-        self.emit_snapshot();
-        self.inner.search_finished(report);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::Arc;
+
+    use crate::cache::{Certification, ExplorationCache};
+    use crate::coverage::StateSink;
+    use crate::program::{ControlledProgram, Scheduler};
+    use crate::search::testprog::Counters;
+    use crate::search::{BoundStats, Search, SearchConfig, SearchError, Strategy};
+    use crate::snapshot::{Checkpointer, SearchSnapshot};
+    use crate::telemetry::SearchObserver;
+    use crate::tid::Tid;
+    use crate::trace::ExecutionResult;
 
     #[test]
     fn executions_advance_by_fetch_max() {
@@ -994,48 +830,199 @@ mod tests {
         assert_eq!(r.eta_seconds(), Some(0.0));
     }
 
-    #[test]
-    fn bridge_mirrors_and_forwards() {
-        struct Probe {
-            snapshots: Vec<MetricsSnapshot>,
-            finished: bool,
+    /// Records the order of the events a snapshot must follow or
+    /// precede, as `B`(ound completed), `C`(heckpoint), `S`(napshot)
+    /// and `F`(inished), and the last snapshot.
+    #[derive(Default)]
+    struct Cadence {
+        events: String,
+        last: Option<MetricsSnapshot>,
+    }
+
+    impl SearchObserver for Cadence {
+        fn bound_completed(&mut self, _stats: &BoundStats, _wall_time: Duration) {
+            self.events.push('B');
         }
-        impl SearchObserver for Probe {
-            fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) {
-                self.snapshots.push(snapshot.clone());
-            }
-            fn search_finished(&mut self, _report: &SearchReport) {
-                self.finished = true;
-            }
-            fn wants_choice_points(&self) -> bool {
-                true
-            }
+        fn checkpoint_written(&mut self, _executions: usize) {
+            self.events.push('C');
         }
+        fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) {
+            self.events.push('S');
+            self.last = Some(snapshot.clone());
+        }
+        fn search_finished(&mut self, _report: &SearchReport) {
+            self.events.push('F');
+        }
+    }
+
+    /// An in-memory fingerprint cache that keeps its certifications.
+    #[derive(Default)]
+    struct MemCache {
+        seen: Mutex<HashMap<(u64, Tid), u32>>,
+        certs: Mutex<Vec<Certification>>,
+    }
+
+    impl ExplorationCache for MemCache {
+        fn probe(&self, state: u64, choice: Tid, credit: u32) -> bool {
+            let mut seen = self.seen.lock().unwrap();
+            if seen
+                .get(&(state, choice))
+                .is_some_and(|&have| have >= credit)
+            {
+                return true;
+            }
+            seen.insert((state, choice), credit);
+            false
+        }
+        fn find_certification(
+            &self,
+            strategy: &str,
+            target: Option<usize>,
+            fault_target: usize,
+        ) -> Option<Certification> {
+            let certs = self.certs.lock().unwrap();
+            certs
+                .iter()
+                .find(|c| c.covers(strategy, target, fault_target))
+                .cloned()
+        }
+        fn certify(&self, certification: Certification) {
+            self.certs.lock().unwrap().push(certification);
+        }
+    }
+
+    /// A program whose fingerprints are exact, so a clean run certifies.
+    struct Exact(Counters);
+
+    impl ControlledProgram for Exact {
+        fn execute(
+            &self,
+            scheduler: &mut dyn Scheduler,
+            sink: &mut dyn StateSink,
+        ) -> ExecutionResult {
+            self.0.execute(scheduler, sink)
+        }
+        fn fingerprints_are_exact(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs a search (`run` attaches the observer and registry it is
+    /// given) and checks the registry against the report and the
+    /// snapshot cadence; returns the event letters.
+    fn assert_registry_matches(
+        what: &str,
+        run: impl FnOnce(&mut Cadence, Arc<MetricsRegistry>) -> Result<SearchReport, SearchError>,
+    ) -> String {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut probe = Probe {
-            snapshots: Vec::new(),
-            finished: false,
-        };
-        let mut bridge = MetricsBridge::new(Arc::clone(&registry), &mut probe);
-        assert!(bridge.wants_choice_points(), "gates forward to the inner");
-        bridge.search_started("icb");
-        bridge.bound_started(0, 1);
-        bridge.execution_finished(1, &ExecStats::default(), &ExecutionOutcome::Terminated, 2);
-        bridge.checkpoint_written(1);
-        bridge.search_finished(&SearchReport {
-            strategy: "icb".into(),
-            executions: 1,
-            distinct_states: 2,
-            ..SearchReport::default()
-        });
-        assert_eq!(registry.executions(), 1);
-        assert_eq!(registry.strategy(), "icb");
+        let mut cadence = Cadence::default();
+        let report = run(&mut cadence, Arc::clone(&registry)).unwrap();
+        let checkpoints = cadence.events.matches('C').count();
+        let expected: String = cadence
+            .events
+            .chars()
+            .filter(|&e| e != 'S')
+            .flat_map(|e| match e {
+                'F' => vec!['S', 'F'],
+                e => vec![e, 'S'],
+            })
+            .collect();
+        assert_eq!(cadence.events, expected, "{what}: snapshot cadence");
+        let snap = registry.snapshot();
+        let cache = report.cache.clone().unwrap_or_default();
+        assert_eq!(snap.executions, report.executions as u64, "{what}");
         assert_eq!(
-            probe.snapshots.len(),
-            2,
-            "one snapshot per checkpoint plus the final one"
+            snap.distinct_states, report.distinct_states as u64,
+            "{what}"
         );
-        assert_eq!(probe.snapshots[1].executions, 1);
-        assert!(probe.finished);
+        assert_eq!(
+            snap.buggy_executions, report.buggy_executions as u64,
+            "{what}"
+        );
+        assert_eq!(snap.quarantined, report.quarantined_total as u64, "{what}");
+        assert_eq!(snap.cache_hits, cache.hits as u64, "{what}");
+        assert_eq!(snap.cache_stores, cache.stores as u64, "{what}");
+        assert_eq!(snap.checkpoints, checkpoints as u64, "{what}");
+        let last = cadence.last.expect("a final snapshot");
+        assert_eq!(last.executions, snap.executions, "{what}");
+        assert_eq!(last.distinct_states, snap.distinct_states, "{what}");
+        cadence.events
+    }
+
+    #[test]
+    fn the_registry_counts_what_the_report_does() {
+        let buggy = Counters {
+            n: 3,
+            k: 2,
+            bug: Some((1, 1, 3)),
+        };
+        let clean = Counters {
+            n: 2,
+            k: 3,
+            bug: None,
+        };
+        let dir = std::env::temp_dir().join(format!("icb-metrics-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = |name: &str| Checkpointer::new(dir.join(name), 3);
+        for jobs in [1, 2] {
+            for strategy in [Strategy::Icb, Strategy::Dfs, Strategy::Random { seed: 5 }] {
+                let config = SearchConfig {
+                    max_executions: Some(40),
+                    ..SearchConfig::default()
+                };
+                let what = format!("{strategy:?} jobs {jobs}");
+                let events = assert_registry_matches(&what, |o, r| {
+                    Search::over(&buggy)
+                        .strategy(strategy)
+                        .config(config)
+                        .jobs(jobs)
+                        .checkpoint(ckpt("run.ckpt"))
+                        .observer(o)
+                        .metrics(r)
+                        .run()
+                });
+                assert!(events.contains('C'), "{what}: {events}");
+                if strategy == Strategy::Icb {
+                    assert!(events.contains('B'), "{what}: {events}");
+                }
+            }
+            let cache = MemCache::default();
+            let exact = Exact(Counters {
+                n: 2,
+                k: 3,
+                bug: None,
+            });
+            let cached = |o: &mut Cadence, r| {
+                Search::over(&exact)
+                    .jobs(jobs)
+                    .cache(&cache)
+                    .observer(o)
+                    .metrics(r)
+                    .run()
+            };
+            assert_registry_matches(&format!("cached icb jobs {jobs}"), cached);
+            // The clean run certified the program: the same search is
+            // now answered from the certification without running.
+            let events = assert_registry_matches(&format!("certified jobs {jobs}"), cached);
+            assert_eq!(events, "SF", "no bound runs, no checkpoint is written");
+
+            let live = dir.join("resume.ckpt");
+            Search::over(&clean)
+                .config(SearchConfig::with_max_executions(7))
+                .checkpoint(Checkpointer::new(&live, 3))
+                .run()
+                .unwrap();
+            let snapshot = SearchSnapshot::read_from(&live).unwrap();
+            assert_registry_matches(&format!("resumed jobs {jobs}"), |o, r| {
+                Search::over(&clean)
+                    .resume_from(snapshot)
+                    .jobs(jobs)
+                    .checkpoint(Checkpointer::new(&live, 3))
+                    .observer(o)
+                    .metrics(r)
+                    .run()
+            });
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

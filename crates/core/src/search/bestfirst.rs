@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::program::{ControlledProgram, SchedulePoint, Scheduler};
-use crate::search::driver::{execute_caught, finish_run, Node, Ran};
+use crate::search::driver::{execute_caught, finish_run, BufObserver, Node, Ran};
 use crate::search::ledger::Ledger;
 use crate::tid::Tid;
 use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
@@ -32,6 +32,7 @@ pub(crate) fn run_best_first(program: &dyn ControlledProgram, ledger: &mut Ledge
     // Reverse(seq) for stable, deterministic order.
     let mut heap: BinaryHeap<(usize, Reverse<usize>, Schedule)> = BinaryHeap::new();
     let mut seq = 0usize;
+    let mut buf = BufObserver::new(ledger);
     heap.push((usize::MAX, Reverse(seq), Schedule::new()));
     'heap: while let Some((_, _, prefix)) = heap.pop() {
         if ledger.stop {
@@ -45,12 +46,8 @@ pub(crate) fn run_best_first(program: &dyn ControlledProgram, ledger: &mut Ledge
                 frontier_enabled: Vec::new(),
             };
             ledger.begin();
-            let run = execute_caught(
-                program,
-                &mut sched,
-                &mut ledger.coverage,
-                &mut *ledger.observer,
-            );
+            let run = execute_caught(program, &mut sched, &mut ledger.coverage, &mut buf);
+            buf.replay(ledger);
             match run {
                 Ok(result) => break (result, sched),
                 Err(message) => {

@@ -8,9 +8,12 @@
 //!   execution, retries an item whose program panicked once and
 //!   forfeits it on the second strike, and hands an unfinished item
 //!   back when it must leave the worker.
+//! * At every job count programs run against a buffering observer
+//!   ([`BufObserver`]): the engine events of one execution (races,
+//!   phase times) reach the [`Ledger`] by one path, right before the
+//!   execution itself.
 //! * **`jobs = 1`** runs that loop inline on the calling thread over a
-//!   plain queue, applying each execution straight to the [`Ledger`]:
-//!   engine events (races, phase times) stream live to the observer.
+//!   plain queue, applying each execution straight to the ledger.
 //! * **`jobs ≥ 2`** runs it on scoped workers over a shared
 //!   [`Frontier`]. Each worker owns its scheduler, a coverage dedup and
 //!   an event buffer, and sends one owned [`Event`] per execution. The
@@ -377,6 +380,7 @@ pub(crate) fn drain<S: Explore>(
     if crew.jobs == 1 {
         let mut lane = Inline {
             s,
+            buf: BufObserver::new(ledger),
             ledger,
             queue: items.into(),
             cost,
@@ -390,7 +394,6 @@ pub(crate) fn drain<S: Explore>(
     let claimed = AtomicUsize::new(ledger.executions);
     let budget = ledger.config.max_executions.unwrap_or(usize::MAX);
     let want_choice = ledger.want_choice;
-    let want_phases = ledger.observer.wants_phase_timing();
     std::thread::scope(|scope| {
         for id in 0..crew.jobs {
             let mut lane = Worker {
@@ -405,11 +408,7 @@ pub(crate) fn drain<S: Explore>(
                 cost,
                 want_choice,
                 dedup: DedupSink::default(),
-                buf: BufObserver {
-                    races: Vec::new(),
-                    phases: Vec::new(),
-                    want_phases,
-                },
+                buf: BufObserver::new(ledger),
             };
             scope.spawn(move || work(s, &mut lane));
         }
@@ -505,6 +504,7 @@ pub(crate) fn save<S: Explore>(s: &S, ledger: &mut Ledger<'_>, items: &[Work<S::
 /// The `jobs = 1` lane: a plain queue and the ledger itself.
 struct Inline<'a, 'o, S: Explore> {
     s: &'a S,
+    buf: BufObserver,
     ledger: &'a mut Ledger<'o>,
     queue: VecDeque<Work<S::Item>>,
     cost: usize,
@@ -527,14 +527,14 @@ impl<S: Explore> Lane<S> for Inline<'_, '_, S> {
     }
 
     fn run(&mut self, item: &mut S::Item, rerun: bool) -> Result<(Exec, Schedule, bool), String> {
-        let ledger = &mut *self.ledger;
         let ran = self
             .s
-            .run(item, rerun, &mut ledger.coverage, &mut *ledger.observer)?;
-        Ok(finish_run(ran, self.cost, ledger.want_choice))
+            .run(item, rerun, &mut self.ledger.coverage, &mut self.buf)?;
+        Ok(finish_run(ran, self.cost, self.ledger.want_choice))
     }
 
     fn deliver(&mut self, exec: Delivery, open: Option<&S::Item>) {
+        self.buf.replay(self.ledger);
         match exec {
             Ok(exec) => self.ledger.apply(exec),
             Err((message, quarantine)) => self.ledger.panicked(0, &message, quarantine),
@@ -602,17 +602,12 @@ fn replay(ledger: &mut Ledger<'_>, crew: &Crew, ev: Event) {
     if let Some(m) = &crew.metrics {
         m.set_pump_channel_depth(backlog);
     }
-    ledger.observer.worker_stamp(ev.worker, ev.seq, ev.at);
+    ledger.stamp(ev.worker, ev.seq, ev.at);
     for fp in ev.fresh {
         ledger.coverage.visit(fp);
     }
     ledger.begin();
-    for race in &ev.races {
-        ledger.observer.race_detected(race);
-    }
-    for &(phase, elapsed) in &ev.phases {
-        ledger.observer.phase_time(phase, elapsed);
-    }
+    ledger.engine_events(&ev.races, &ev.phases);
     match ev.exec {
         Ok(exec) => ledger.apply(exec),
         Err((message, quarantine)) => ledger.panicked(ev.worker, &message, quarantine),
@@ -741,12 +736,29 @@ impl<S: Explore> Lane<S> for Worker<'_, S> {
     }
 }
 
-/// Worker-side observer: buffers the engine events of one execution
-/// (races, phase timings) for the pump to replay in order.
-struct BufObserver {
+/// The observer programs run against: buffers the engine events of one
+/// execution (races, phase timings) for the ledger to replay in order.
+pub(crate) struct BufObserver {
     races: Vec<String>,
     phases: Vec<(Phase, Duration)>,
     want_phases: bool,
+}
+
+impl BufObserver {
+    pub(crate) fn new(ledger: &Ledger<'_>) -> Self {
+        BufObserver {
+            races: Vec::new(),
+            phases: Vec::new(),
+            want_phases: ledger.want_phases,
+        }
+    }
+
+    /// Replays and clears the buffered events through `ledger`.
+    pub(crate) fn replay(&mut self, ledger: &mut Ledger<'_>) {
+        ledger.engine_events(&self.races, &self.phases);
+        self.races.clear();
+        self.phases.clear();
+    }
 }
 
 impl SearchObserver for BufObserver {

@@ -67,7 +67,7 @@ pub(crate) fn run_icb(
     let target = ledger.config.preemption_bound;
     let mut completed = false;
     loop {
-        ledger.observer.bound_started(ledger.bound, work.len());
+        ledger.start_level(work.len());
         let began = Instant::now();
         let level = Tree {
             program,

@@ -1,6 +1,14 @@
 //! The one bookkeeping structure of a search: budget, coverage, bugs,
 //! quarantine, ICB levels, checkpoints and the telemetry stream.
 //!
+//! The ledger is the only writer of search telemetry: every observer
+//! event passes through it, and next to each one it updates the
+//! attached [`MetricsRegistry`], so the registry's counts come from
+//! where the report's do. With a registry attached it also emits
+//! [`metrics_snapshot`](SearchObserver::metrics_snapshot) after each
+//! completed level, after each checkpoint and right before
+//! `search_finished`.
+//!
 //! The merge policy follows the job count. At `jobs = 1` executions
 //! arrive in exploration order and are kept in it: deferrals are queued
 //! as they are emitted (each push against the queue cap), bugs are
@@ -12,14 +20,16 @@
 //! curve points are taken at barriers and the quarantine list is sorted.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::coverage::{CoverageTracker, StateSink};
+use crate::metrics::MetricsRegistry;
 use crate::search::{
     BoundStats, BugReport, CacheSummary, ChoiceEvent, QuarantinedTrace, SearchConfig, SearchReport,
 };
 use crate::snapshot::{Checkpointer, ResumeBase, SearchSnapshot, StrategyState};
-use crate::telemetry::{AbortReason, ResumeInfo, SearchObserver, SiteId};
+use crate::telemetry::{AbortReason, Phase, ResumeInfo, SearchObserver, SiteId};
 use crate::trace::{ExecStats, ExecutionOutcome, Schedule};
 
 /// One finished execution, as the ledger folds it in.
@@ -66,6 +76,7 @@ pub(crate) struct Ledger<'o> {
     /// ICB: levels, per-item `work_queue_depth` events.
     pub(crate) levelled: bool,
     pub(crate) want_choice: bool,
+    pub(crate) want_phases: bool,
     pub(crate) coverage: CoverageTracker,
     pub(crate) executions: usize,
     pub(crate) buggy_executions: usize,
@@ -98,7 +109,8 @@ pub(crate) struct Ledger<'o> {
     pub(crate) beyond: usize,
     cache: Option<CacheSummary>,
     pub(crate) ckpt: Option<&'o mut Checkpointer>,
-    pub(crate) observer: &'o mut dyn SearchObserver,
+    observer: &'o mut dyn SearchObserver,
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl<'o> Ledger<'o> {
@@ -110,7 +122,12 @@ impl<'o> Ledger<'o> {
         levelled: bool,
         observer: &'o mut dyn SearchObserver,
         ckpt: Option<&'o mut Checkpointer>,
+        metrics: Option<Arc<MetricsRegistry>>,
     ) -> Self {
+        if let Some(m) = &metrics {
+            m.mark_started();
+            m.set_strategy(&label);
+        }
         observer.search_started(&label);
         Ledger {
             coverage: CoverageTracker::new().with_stride(stride(canonical, &config)),
@@ -120,6 +137,7 @@ impl<'o> Ledger<'o> {
             canonical,
             levelled,
             want_choice: observer.wants_choice_points(),
+            want_phases: observer.wants_phase_timing(),
             executions: 0,
             buggy_executions: 0,
             bugs: Vec::new(),
@@ -142,6 +160,21 @@ impl<'o> Ledger<'o> {
             cache: None,
             ckpt,
             observer,
+            metrics,
+        }
+    }
+
+    /// Updates the attached registry, if any.
+    fn meter(&self, update: impl FnOnce(&MetricsRegistry)) {
+        if let Some(m) = &self.metrics {
+            update(m);
+        }
+    }
+
+    /// Emits a `metrics_snapshot` of the attached registry, if any.
+    fn snapshot_metrics(&mut self) {
+        if let Some(m) = &self.metrics {
+            self.observer.metrics_snapshot(&m.snapshot());
         }
     }
 
@@ -188,12 +221,14 @@ impl<'o> Ledger<'o> {
             base.coverage_curve,
         )
         .with_stride(stride(self.canonical, &self.config));
-        self.observer.search_resumed(&ResumeInfo {
+        let info = ResumeInfo {
             executions: self.executions,
             distinct_states: self.coverage.distinct_states(),
             bound: self.bound,
             bound_executions: self.executions.saturating_sub(self.execs_base),
-        });
+        };
+        self.meter(|m| m.record_resume(&info));
+        self.observer.search_resumed(&info);
         if let Some(ck) = self.ckpt.as_deref_mut() {
             // The snapshot itself is durable; the next periodic write
             // is one full interval after it.
@@ -236,11 +271,35 @@ impl<'o> Ledger<'o> {
         self.observer.execution_started(self.executions + 1);
     }
 
+    /// Announces the level about to run with `work_items` queued.
+    pub(crate) fn start_level(&mut self, work_items: usize) {
+        self.meter(|m| m.record_bound_started(self.bound));
+        self.observer.bound_started(self.bound, work_items);
+    }
+
+    /// Stamps the next replayed worker execution.
+    pub(crate) fn stamp(&mut self, worker: usize, seq: u64, at: Duration) {
+        self.observer.worker_stamp(worker, seq, at);
+    }
+
+    /// Replays the engine events one execution buffered: its races,
+    /// then its phase times.
+    pub(crate) fn engine_events(&mut self, races: &[String], phases: &[(Phase, Duration)]) {
+        for race in races {
+            self.meter(|m| m.race_detected());
+            self.observer.race_detected(race);
+        }
+        for &(phase, elapsed) in phases {
+            self.observer.phase_time(phase, elapsed);
+        }
+    }
+
     /// Quarantines a forfeited prefix: counts it, keeps a capped list
     /// (the canonical list is sorted and capped at the end), and tells
     /// the observer.
     pub(crate) fn quarantine(&mut self, q: QuarantinedTrace) {
         self.quarantined_total += 1;
+        self.meter(|m| m.trace_quarantined());
         self.observer.trace_quarantined(&q);
         if self.canonical || self.quarantined.len() < self.config.max_bug_reports {
             self.quarantined.push(q);
@@ -281,7 +340,21 @@ impl<'o> Ledger<'o> {
             }
             self.levels.entry(level).or_default().push_back(item);
         }
-        self.observer.work_item_deferred(level.0);
+        self.deferred(level.0);
+    }
+
+    /// Tells the registry and observer that a work item was deferred
+    /// to preemption bound `bound`.
+    fn deferred(&mut self, bound: usize) {
+        self.meter(|m| m.work_item_deferred());
+        self.observer.work_item_deferred(bound);
+    }
+
+    /// Emits the deferred-queue depth.
+    fn queue_depth_event(&mut self) {
+        let depth = self.queue_depth();
+        self.meter(|m| m.set_work_queue_depth(depth));
+        self.observer.work_queue_depth(depth);
     }
 
     /// Folds one finished execution in, emitting its events in the one
@@ -294,9 +367,11 @@ impl<'o> Ledger<'o> {
             c.stores += stores;
         }
         if hits > 0 {
+            self.meter(|m| m.cache_pruned(hits));
             self.observer.cache_hit(hits);
         }
         if stores > 0 {
+            self.meter(|m| m.cache_stored(stores));
             self.observer.cache_store(stores);
         }
         match e.quarantine {
@@ -309,7 +384,7 @@ impl<'o> Ledger<'o> {
                 }
                 self.beyond += e.beyond;
                 for _ in 0..e.beyond {
-                    self.observer.work_item_deferred(c + 1);
+                    self.deferred(c + 1);
                 }
                 for item in fault {
                     self.defer((c, f + 1), item, 1);
@@ -326,14 +401,13 @@ impl<'o> Ledger<'o> {
             }
         }
         for &(site, step) in &e.faults {
+            self.meter(|m| m.fault_injected());
             self.observer.fault_injected(site, step);
         }
-        self.observer.execution_finished(
-            self.executions,
-            &e.stats,
-            &e.outcome,
-            self.coverage.distinct_states(),
-        );
+        let distinct_states = self.coverage.distinct_states();
+        self.meter(|m| m.record_execution(self.executions, &e.stats, &e.outcome, distinct_states));
+        self.observer
+            .execution_finished(self.executions, &e.stats, &e.outcome, distinct_states);
         if e.outcome == ExecutionOutcome::WatchdogTimeout {
             self.watchdog_trips += 1;
         }
@@ -357,7 +431,7 @@ impl<'o> Ledger<'o> {
         }
         if self.canonical {
             if self.levelled {
-                self.observer.work_queue_depth(self.queue_depth());
+                self.queue_depth_event();
             }
         } else {
             if self.remaining_budget() == 0 {
@@ -374,7 +448,7 @@ impl<'o> Ledger<'o> {
     fn record_bug(&mut self, bug: BugReport) {
         if !self.canonical {
             if self.bugs.len() < self.config.max_bug_reports {
-                self.observer.bug_found(&bug);
+                self.bug_found(&bug);
                 self.bugs.push(bug);
             }
             return;
@@ -383,16 +457,22 @@ impl<'o> Ledger<'o> {
         if let Err(at) = self.bugs.binary_search_by_key(&key(&bug), key) {
             // Arrival-order index for the streamed event; the report
             // renumbers by rank.
-            self.observer.bug_found(&bug);
+            self.bug_found(&bug);
             self.bugs.insert(at, bug);
             self.bugs.truncate(self.config.max_bug_reports);
         }
     }
 
+    /// Tells the registry and observer that a bug report was kept.
+    fn bug_found(&mut self, bug: &BugReport) {
+        self.meter(|m| m.bug_reported());
+        self.observer.bug_found(bug);
+    }
+
     /// Emits the deferred-queue depth after a work item (ICB only).
     pub(crate) fn item_done(&mut self) {
         if self.levelled {
-            self.observer.work_queue_depth(self.queue_depth());
+            self.queue_depth_event();
         }
     }
 
@@ -414,6 +494,7 @@ impl<'o> Ledger<'o> {
             bugs_found: self.buggy_executions - self.bugs_base,
         };
         self.observer.bound_completed(&stats, began.elapsed());
+        self.snapshot_metrics();
         self.bound_history.push(stats);
         if !self.canonical {
             return;
@@ -503,7 +584,11 @@ impl<'o> Ledger<'o> {
         };
         let ck = self.ckpt.as_deref_mut().expect("checked above");
         match ck.write(&snapshot) {
-            Ok(()) => self.observer.checkpoint_written(self.executions),
+            Ok(()) => {
+                self.meter(|m| m.checkpoint_written());
+                self.observer.checkpoint_written(self.executions);
+                self.snapshot_metrics();
+            }
             Err(e) => eprintln!("warning: checkpoint write failed: {e}"),
         }
     }
@@ -514,6 +599,23 @@ impl<'o> Ledger<'o> {
         if let Some(ck) = self.ckpt.as_deref_mut() {
             ck.finish();
         }
+    }
+
+    /// Answers from a certification without running: the search's claim
+    /// was already proved by an earlier clean run.
+    pub(crate) fn certified(mut self, bound: Option<usize>, report: SearchReport) -> SearchReport {
+        self.observer.bound_certified(bound);
+        self.finish_checkpoint();
+        self.finish(report)
+    }
+
+    /// Emits `search_finished` for `report`, the registry's final
+    /// snapshot first.
+    fn finish(mut self, report: SearchReport) -> SearchReport {
+        self.meter(|m| m.record_finished(&report));
+        self.snapshot_metrics();
+        self.observer.search_finished(&report);
+        report
     }
 
     /// Converts the ledger into the final report, emitting
@@ -541,7 +643,6 @@ impl<'o> Ledger<'o> {
             watchdog_trips: self.watchdog_trips,
             cache: self.cache.take(),
         };
-        self.observer.search_finished(&report);
-        report
+        self.finish(report)
     }
 }

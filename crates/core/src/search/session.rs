@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::{Certification, ExplorationCache};
-use crate::metrics::{MetricsBridge, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::program::ControlledProgram;
 use crate::search::bestfirst::run_best_first;
 use crate::search::dfs::run_idfs;
@@ -327,14 +327,14 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Attaches a live [`MetricsRegistry`]: the session wraps its
-    /// observer in a [`MetricsBridge`] (mirroring the event stream into
-    /// the registry and emitting periodic `metrics_snapshot` events),
-    /// threads the registry into the worker pool's workers, pump
-    /// and [`Frontier`](crate::search::Frontier), and attaches it to
-    /// the exploration cache. Any thread holding a clone of the `Arc` —
-    /// a scrape endpoint, a status board — can read the counters while
-    /// the search runs.
+    /// Attaches a live [`MetricsRegistry`]: the search's ledger updates
+    /// it next to every event it emits (and emits `metrics_snapshot`
+    /// after each completed bound, after each checkpoint and before
+    /// `search_finished`), the worker pool's workers, pump and
+    /// [`Frontier`](crate::search::Frontier) feed it their own counters,
+    /// and the exploration cache its table probes. Any thread holding a
+    /// clone of the `Arc` — a scrape endpoint, a status board — can read
+    /// the counters while the search runs.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
         self
@@ -404,38 +404,38 @@ impl<'a> Search<'a> {
             Some(o) => o,
             None => &mut noop,
         };
-        // A registry watches through a bridge fed by the event stream;
-        // the worker pool additionally receives the registry itself for
-        // the worker, frontier and pump counters no event carries.
-        let mut bridge;
-        let observer: &mut dyn SearchObserver = match &metrics {
-            Some(registry) => {
-                registry.set_workers(jobs);
-                if let Some(binding) = &binding {
-                    binding.cache.attach_metrics(registry);
-                }
-                bridge = MetricsBridge::new(Arc::clone(registry), observer);
-                &mut bridge
+        if let Some(registry) = &metrics {
+            // The ledger feeds the registry from the event stream; the
+            // worker pool and the cache feed the counters no event
+            // carries.
+            registry.set_workers(jobs);
+            if let Some(binding) = &binding {
+                binding.cache.attach_metrics(registry);
             }
-            None => observer,
-        };
+        }
         let label = strategy.label();
         let target = match strategy {
             Strategy::Icb => config.preemption_bound,
             _ => None,
         };
+        let fault_bound = config.fault_bound;
+        let mut ledger = Ledger::new(
+            label.clone(),
+            config,
+            jobs > 1,
+            matches!(strategy, Strategy::Icb),
+            observer,
+            checkpoint.as_mut(),
+            metrics.clone(),
+        );
 
         // Certification fast path: a previous clean run already proved
         // this search's claim — answer from the ledger without running.
         let certified = binding.filter(|_| resume.is_none()).and_then(|b| {
-            let cert = b
-                .cache
-                .find_certification(&label, target, config.fault_bound)?;
+            let cert = b.cache.find_certification(&label, target, fault_bound)?;
             Some((b, cert))
         });
         if let Some((binding, cert)) = certified {
-            observer.search_started(&label);
-            observer.bound_certified(cert.bound);
             let report = SearchReport {
                 strategy: label,
                 distinct_states: cert.distinct_states,
@@ -451,22 +451,9 @@ impl<'a> Search<'a> {
                 }),
                 ..SearchReport::default()
             };
-            observer.search_finished(&report);
-            if let Some(ck) = checkpoint.as_mut() {
-                ck.finish();
-            }
-            return Ok(report);
+            return Ok(ledger.certified(cert.bound, report));
         }
 
-        let fault_bound = config.fault_bound;
-        let mut ledger = Ledger::new(
-            label,
-            config,
-            jobs > 1,
-            matches!(strategy, Strategy::Icb),
-            observer,
-            checkpoint.as_mut(),
-        );
         let state = resume.map(|snapshot| ledger.resume(snapshot));
         if let Some(binding) = &binding {
             // After the restore: idempotent there, since a snapshot

@@ -397,14 +397,13 @@ pub trait SearchObserver {
     fn bound_certified(&mut self, bound: Option<usize>) {}
 
     /// A point-in-time copy of the live [`MetricsRegistry`] attached to
-    /// the search. Emitted by the [`MetricsBridge`] at checkpoint
-    /// cadence, after each completed bound, and once right before
+    /// the search. Emitted by the search after each checkpoint, after
+    /// each completed bound, and once right before
     /// `search_finished` — only when a registry is attached, so searches
     /// without one keep their event streams byte-identical to previous
     /// releases.
     ///
     /// [`MetricsRegistry`]: crate::metrics::MetricsRegistry
-    /// [`MetricsBridge`]: crate::metrics::MetricsBridge
     fn metrics_snapshot(&mut self, snapshot: &MetricsSnapshot) {}
 
     /// The search is over; `report` is the final report about to be

@@ -23,137 +23,11 @@ use std::path::PathBuf;
 use icb_core::search::{Search, SearchConfig, SearchReport, Strategy};
 use icb_core::snapshot::{Checkpointer, SearchSnapshot};
 use icb_core::telemetry::SearchObserver;
-use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, ExplainedWitness, FaultPoint,
-    SchedulePoint, Scheduler, SiteId, StateSink, Tid, Trace, TraceEntry,
-};
+use icb_core::{ControlledProgram, ExecutionResult, ExplainedWitness, Scheduler, StateSink};
 
-/// `n` threads × `k` increments of a shared counter; an optional bug
-/// fires when `bug_thread`'s step `bug_step` observes `counter ==
-/// bug_value`. Fully deterministic.
-struct Counters {
-    n: usize,
-    k: usize,
-    bug: Option<(usize, usize, u32)>,
-}
+mod common;
 
-impl ControlledProgram for Counters {
-    fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
-        let mut counter: u32 = 0;
-        let mut pos = vec![0usize; self.n];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
-        let mut failure: Option<Tid> = None;
-        loop {
-            let enabled: Vec<Tid> = (0..self.n).filter(|&i| pos[i] < self.k).map(Tid).collect();
-            if enabled.is_empty() {
-                break;
-            }
-            let current_enabled = current.is_some_and(|t| pos[t.index()] < self.k);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
-            if let Some((bt, bs, bv)) = self.bug {
-                if chosen.index() == bt && pos[bt] == bs && counter == bv {
-                    failure = Some(chosen);
-                }
-            }
-            counter += 1;
-            pos[chosen.index()] += 1;
-            current = Some(chosen);
-            let mut bytes = Vec::with_capacity(4 + self.n * 8);
-            bytes.extend_from_slice(&counter.to_le_bytes());
-            for p in &pos {
-                bytes.extend_from_slice(&(*p as u64).to_le_bytes());
-            }
-            sink.visit(icb_core::coverage::fingerprint_bytes(&bytes));
-            if failure.is_some() {
-                break;
-            }
-        }
-        let outcome = match failure {
-            Some(thread) => ExecutionOutcome::AssertionFailure {
-                thread,
-                message: "bug pattern hit".into(),
-            },
-            None => ExecutionOutcome::Terminated,
-        };
-        ExecutionResult::from_trace(outcome, trace)
-    }
-}
-
-/// `n` threads × `k` increments where every increment is a fallible
-/// operation the scheduler may fault, losing the update. The final
-/// counter is asserted at join: the bug is invisible at `fault_bound: 0`
-/// and has a minimum witness of zero preemptions and one fault.
-struct FaultyCounters {
-    n: usize,
-    k: usize,
-}
-
-impl ControlledProgram for FaultyCounters {
-    fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
-        let mut counter: u32 = 0;
-        let mut pos = vec![0usize; self.n];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
-        loop {
-            let enabled: Vec<Tid> = (0..self.n).filter(|&i| pos[i] < self.k).map(Tid).collect();
-            if enabled.is_empty() {
-                break;
-            }
-            let current_enabled = current.is_some_and(|t| pos[t.index()] < self.k);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            let site = SiteId::at(chosen.index() as u32, "incr", pos[chosen.index()] as u32);
-            let fault = scheduler.decide_fault(FaultPoint {
-                step_index: trace.len(),
-                tid: chosen,
-                site,
-            });
-            trace.push(
-                TraceEntry::new(chosen, enabled, current, current_enabled, false)
-                    .with_site(site)
-                    .with_fault(fault),
-            );
-            if !fault {
-                counter += 1;
-            }
-            pos[chosen.index()] += 1;
-            current = Some(chosen);
-            let mut bytes = Vec::with_capacity(4 + self.n * 8);
-            bytes.extend_from_slice(&counter.to_le_bytes());
-            for p in &pos {
-                bytes.extend_from_slice(&(*p as u64).to_le_bytes());
-            }
-            sink.visit(icb_core::coverage::fingerprint_bytes(&bytes));
-        }
-        let expected = (self.n * self.k) as u32;
-        let outcome = if counter == expected {
-            ExecutionOutcome::Terminated
-        } else {
-            ExecutionOutcome::AssertionFailure {
-                thread: Tid(0),
-                message: format!("lost update: counter {counter} != {expected}"),
-            }
-        };
-        ExecutionResult::from_trace(outcome, trace)
-    }
-}
+use common::{Counters, FaultyCounters};
 
 fn buggy() -> Counters {
     Counters {

@@ -7,14 +7,15 @@
 //!   any `io::Write`, for offline analysis of long searches.
 //! * [`ProgressReporter`] — rate-limited live status line (current
 //!   bound, executions, distinct states, and an ETA derived from the
-//!   paper's Theorem 1 ceiling).
+//!   paper's Theorem 1 ceiling), rendered from the search's
+//!   [`MetricsRegistry`].
 //! * [`EventLog`] — records events as owned [`Event`] values; the test
 //!   suite uses it to assert the observer event grammar, and it doubles
 //!   as a scriptable sink for ad-hoc tooling.
 //! * [`MultiObserver`] — fans one event stream out to several observers.
 //! * [`registry`] / [`render_prometheus`] / [`MetricsServer`] — the live
 //!   introspection layer: a lock-free [`MetricsRegistry`] fed by the
-//!   drivers, rendered as a Prometheus text-exposition page and served
+//!   search, rendered as a Prometheus text-exposition page and served
 //!   over a dependency-free HTTP listener (`explore run
 //!   --serve-metrics`, polled by `explore top`).
 //! * [`RunReport`] — the plain-data run summary behind `explore report`
@@ -49,7 +50,7 @@ pub use http::{parse_exposition, scrape, series_value, MetricsServer};
 pub use jsonl::JsonlSink;
 pub use multi::MultiObserver;
 pub use progress::ProgressReporter;
-pub use registry::{MetricsBridge, MetricsRegistry, MetricsSnapshot, WorkerStats};
+pub use registry::{MetricsRegistry, MetricsSnapshot, WorkerStats};
 pub use report::{
     render_markdown, render_text, BoundRow, PhaseTotals, ReportBuilder, RunReport, SiteRow,
     ThroughputSample, WorkerUtilRow,

@@ -15,19 +15,17 @@ use icb_core::{ExecStats, ExecutionOutcome, MetricsRegistry, SearchObserver};
 /// executions per second costs almost nothing. Bound transitions and the
 /// final summary are always printed.
 ///
-/// All counters behind the status line — executions, rate, distinct
-/// states, the active bound, queue depth, and the Theorem-1 ETA — come
-/// from a [`MetricsRegistry`], the same registry that backs `/metrics`
-/// and `explore top`. By default the reporter owns a private registry
-/// and feeds it from the events it observes; pass the search's shared
-/// registry via [`with_registry`](ProgressReporter::with_registry) and
-/// the reporter becomes a pure renderer, reading figures the
-/// [`MetricsBridge`](icb_core::MetricsBridge) already mirrored.
+/// The reporter is a pure renderer of the search's [`MetricsRegistry`]:
+/// attach the same registry to the search (`Search::metrics`), which
+/// updates it before each event reaches the reporter. All counters
+/// behind the status line — executions, rate, distinct states, the
+/// active bound, queue depth, and the Theorem-1 ETA — are read from
+/// it, so the status line, `/metrics` and `explore top` show the same
+/// numbers.
 ///
 /// When Theorem-1 parameters are supplied (via
-/// [`MetricsRegistry::set_theorem1`] on the reporter's
-/// [`registry`](ProgressReporter::registry)), the reporter prints an ETA
-/// for the current bound from the paper's ceiling — the number of
+/// [`MetricsRegistry::set_theorem1`]), the reporter prints an ETA for
+/// the current bound from the paper's ceiling — the number of
 /// executions with `c` preemptions is at most `C(nk, c) · (nb + c)!` —
 /// and the observed execution rate. The ceiling is loose (it counts
 /// infeasible schedules), so the ETA is an upper bound and is capped at
@@ -43,31 +41,25 @@ pub struct ProgressReporter<W: Write> {
     /// lines belongs to the renderer, not the metrics layer).
     bugs: usize,
     registry: Arc<MetricsRegistry>,
-    /// Whether the reporter must feed `registry` itself. False when the
-    /// registry is shared: the [`MetricsBridge`](icb_core::MetricsBridge)
-    /// upstream already mirrors every event before forwarding it here,
-    /// and double-feeding would double-count histogram buckets.
-    owns_registry: bool,
 }
 
 impl ProgressReporter<std::io::Stderr> {
-    /// A reporter printing to standard error.
-    pub fn stderr() -> Self {
-        ProgressReporter::to_writer(std::io::stderr())
+    /// A reporter printing `registry` to standard error.
+    pub fn stderr(registry: Arc<MetricsRegistry>) -> Self {
+        ProgressReporter::to_writer(std::io::stderr(), registry)
     }
 }
 
 impl<W: Write> ProgressReporter<W> {
-    /// A reporter printing to `out`, backed by a private registry.
-    pub fn to_writer(out: W) -> Self {
+    /// A reporter printing `registry` to `out`.
+    pub fn to_writer(out: W, registry: Arc<MetricsRegistry>) -> Self {
         ProgressReporter {
             out,
             min_interval: Duration::from_millis(250),
             last_line: None,
             strategy: String::new(),
             bugs: 0,
-            registry: Arc::new(MetricsRegistry::new()),
-            owns_registry: true,
+            registry,
         }
     }
 
@@ -77,22 +69,7 @@ impl<W: Write> ProgressReporter<W> {
         self
     }
 
-    /// Renders from `registry` instead of a private one.
-    ///
-    /// Use this when the search already mirrors its events into a
-    /// registry (`Search::metrics`): the reporter stops feeding counters
-    /// itself and becomes a read-only view, so the status line, the
-    /// `/metrics` page, and `explore top` all show the same numbers.
-    pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = registry;
-        self.owns_registry = false;
-        self
-    }
-
-    /// The registry backing this reporter's figures.
-    ///
-    /// For a reporter with a private registry, this is where to supply
-    /// Theorem-1 parameters: `reporter.registry().set_theorem1(n, b)`.
+    /// The registry this reporter renders.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -138,19 +115,9 @@ impl<W: Write> ProgressReporter<W> {
 impl<W: Write> SearchObserver for ProgressReporter<W> {
     fn search_started(&mut self, strategy: &str) {
         self.strategy = strategy.to_string();
-        if self.owns_registry {
-            self.registry.mark_started();
-            self.registry.set_strategy(strategy);
-        }
     }
 
     fn search_resumed(&mut self, info: &ResumeInfo) {
-        // The registry seeds its cumulative counters from the snapshot so
-        // the status line is truthful, but bases the rate (and thus the
-        // ETA) on the executions this segment actually performs.
-        if self.owns_registry {
-            self.registry.record_resume(info);
-        }
         let _ = writeln!(
             self.out,
             "[{}] resumed from checkpoint: {} execs, {} states, bound {}",
@@ -161,22 +128,15 @@ impl<W: Write> SearchObserver for ProgressReporter<W> {
 
     fn execution_finished(
         &mut self,
-        index: usize,
-        stats: &ExecStats,
-        outcome: &ExecutionOutcome,
-        distinct_states: usize,
+        _index: usize,
+        _stats: &ExecStats,
+        _outcome: &ExecutionOutcome,
+        _distinct_states: usize,
     ) {
-        if self.owns_registry {
-            self.registry
-                .record_execution(index, stats, outcome, distinct_states);
-        }
         self.status_line(false);
     }
 
     fn bound_started(&mut self, bound: usize, work_items: usize) {
-        if self.owns_registry {
-            self.registry.record_bound_started(bound);
-        }
         let _ = writeln!(
             self.out,
             "[{}] entering bound {bound} ({work_items} work items)",
@@ -200,9 +160,6 @@ impl<W: Write> SearchObserver for ProgressReporter<W> {
     }
 
     fn bug_found(&mut self, bug: &icb_core::search::BugReport) {
-        if self.owns_registry {
-            self.registry.bug_reported();
-        }
         self.bugs += 1;
         let _ = writeln!(
             self.out,
@@ -212,21 +169,12 @@ impl<W: Write> SearchObserver for ProgressReporter<W> {
         let _ = self.out.flush();
     }
 
-    fn work_queue_depth(&mut self, depth: usize) {
-        if self.owns_registry {
-            self.registry.set_work_queue_depth(depth);
-        }
-    }
-
     fn search_aborted(&mut self, reason: AbortReason) {
         let _ = writeln!(self.out, "[{}] stopping: {reason}", self.strategy);
         let _ = self.out.flush();
     }
 
-    fn search_finished(&mut self, report: &SearchReport) {
-        if self.owns_registry {
-            self.registry.record_finished(report);
-        }
+    fn search_finished(&mut self, _report: &SearchReport) {
         // A forced final status line; rendering the report itself is the
         // caller's business (explore already prints it to stdout).
         self.status_line(true);
@@ -237,12 +185,42 @@ impl<W: Write> SearchObserver for ProgressReporter<W> {
 mod tests {
     use super::*;
 
+    /// A reporter on a fresh registry, printing every status line.
+    fn reporter() -> ProgressReporter<Vec<u8>> {
+        ProgressReporter::to_writer(Vec::new(), Arc::new(MetricsRegistry::new()))
+            .with_interval(Duration::ZERO)
+    }
+
+    /// Records one execution as the search's ledger does: the registry
+    /// first, then the event.
+    fn execution(p: &mut ProgressReporter<Vec<u8>>, index: usize, steps: usize, states: usize) {
+        let stats = ExecStats {
+            steps,
+            ..ExecStats::default()
+        };
+        let outcome = ExecutionOutcome::Terminated;
+        p.registry()
+            .record_execution(index, &stats, &outcome, states);
+        p.execution_finished(index, &stats, &outcome, states);
+    }
+
+    fn start_bound(p: &mut ProgressReporter<Vec<u8>>, bound: usize, work_items: usize) {
+        p.registry().record_bound_started(bound);
+        p.bound_started(bound, work_items);
+    }
+
+    fn text(p: ProgressReporter<Vec<u8>>) -> String {
+        String::from_utf8(p.out).unwrap()
+    }
+
     #[test]
     fn prints_bound_transitions_and_summary() {
-        let mut p = ProgressReporter::to_writer(Vec::new());
+        let mut p = reporter();
+        p.registry().mark_started();
+        p.registry().set_strategy("icb");
         p.search_started("icb");
-        p.bound_started(0, 1);
-        p.execution_finished(1, &ExecStats::default(), &ExecutionOutcome::Terminated, 2);
+        start_bound(&mut p, 0, 1);
+        execution(&mut p, 1, 0, 2);
         p.bound_completed(
             &BoundStats {
                 bound: 0,
@@ -259,43 +237,57 @@ mod tests {
             distinct_states: 2,
             ..SearchReport::default()
         });
-        let text = String::from_utf8(p.out).unwrap();
+        let text = text(p);
         assert!(text.contains("entering bound 0"), "{text}");
         assert!(text.contains("bound 0 done"), "{text}");
         assert!(text.contains("[icb] 1 execs"), "{text}");
     }
 
     #[test]
+    fn shared_registry_reporter_renders_without_feeding() {
+        // The search's ledger feeds the registry; the reporter renders
+        // exactly those figures and never double-counts the step
+        // histogram.
+        let mut p = reporter();
+        let registry = Arc::clone(p.registry());
+        registry.mark_started();
+        registry.set_strategy("icb");
+        p.search_started("icb");
+        execution(&mut p, 5, 3, 4);
+        let text = text(p);
+        assert!(text.contains("[icb] 5 execs"), "{text}");
+        assert!(text.contains("4 states"), "{text}");
+        let (_, _, count) = registry.step_histogram();
+        assert_eq!(count, 1, "the reporter must not feed the registry");
+    }
+
+    #[test]
     fn rate_limit_suppresses_spam() {
-        let mut p =
-            ProgressReporter::to_writer(Vec::new()).with_interval(Duration::from_secs(3600));
+        let mut p = reporter().with_interval(Duration::from_secs(3600));
         p.search_started("dfs");
         for i in 1..=100 {
-            p.execution_finished(i, &ExecStats::default(), &ExecutionOutcome::Terminated, i);
+            execution(&mut p, i, 0, i);
         }
-        let text = String::from_utf8(p.out).unwrap();
         // Only the very first status line makes it through the limiter.
-        assert_eq!(text.lines().count(), 1, "{text}");
+        assert_eq!(text(p).lines().count(), 1);
     }
 
     #[test]
     fn resume_seeds_counters_but_not_the_rate() {
-        let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
+        let mut p = reporter();
+        p.registry().mark_started();
         p.search_started("icb");
-        p.search_resumed(&ResumeInfo {
+        let info = ResumeInfo {
             executions: 1_000_000,
             distinct_states: 5000,
             bound: 2,
             bound_executions: 10,
-        });
+        };
+        p.registry().record_resume(&info);
+        p.search_resumed(&info);
         std::thread::sleep(Duration::from_millis(5));
-        p.execution_finished(
-            1_000_001,
-            &ExecStats::default(),
-            &ExecutionOutcome::Terminated,
-            5001,
-        );
-        let text = String::from_utf8(p.out).unwrap();
+        execution(&mut p, 1_000_001, 0, 5001);
+        let text = text(p);
         assert!(
             text.contains("resumed from checkpoint: 1000000 execs"),
             "{text}"
@@ -324,104 +316,66 @@ mod tests {
 
     #[test]
     fn eta_appears_with_theorem1_params() {
-        let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
+        let mut p = reporter();
         p.registry().set_theorem1(2, 1);
+        p.registry().mark_started();
         p.search_started("icb");
-        p.bound_started(0, 1);
+        start_bound(&mut p, 0, 1);
         std::thread::sleep(Duration::from_millis(2));
-        p.execution_finished(
-            1,
-            &ExecStats {
-                steps: 4,
-                ..ExecStats::default()
-            },
-            &ExecutionOutcome::Terminated,
-            2,
-        );
-        let text = String::from_utf8(p.out).unwrap();
+        execution(&mut p, 1, 4, 2);
+        let text = text(p);
         assert!(text.contains("eta"), "{text}");
     }
 
     #[test]
     fn eta_at_bound_zero_clamps_instead_of_going_negative() {
-        let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
+        let mut p = reporter();
         p.registry().set_theorem1(2, 1);
+        p.registry().mark_started();
         p.search_started("icb");
-        p.bound_started(0, 1);
+        start_bound(&mut p, 0, 1);
         std::thread::sleep(Duration::from_millis(2));
         // Far more executions than bound 0's tiny ceiling: remaining
         // work must clamp to 0, not print a negative ETA.
         for i in 1..=50 {
-            p.execution_finished(
-                i,
-                &ExecStats {
-                    steps: 4,
-                    ..ExecStats::default()
-                },
-                &ExecutionOutcome::Terminated,
-                i,
-            );
+            execution(&mut p, i, 4, i);
         }
-        let text = String::from_utf8(p.out).unwrap();
+        let text = text(p);
         assert!(!text.contains("eta -"), "{text}");
         assert!(text.contains("eta 0.0s"), "{text}");
     }
 
     #[test]
     fn degenerate_theorem1_params_never_print_nan() {
-        let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
+        let mut p = reporter();
         p.registry().set_theorem1(0, 0);
+        p.registry().mark_started();
         p.search_started("icb");
-        p.bound_started(0, 0);
+        start_bound(&mut p, 0, 0);
         std::thread::sleep(Duration::from_millis(2));
-        p.execution_finished(1, &ExecStats::default(), &ExecutionOutcome::Terminated, 1);
-        let text = String::from_utf8(p.out).unwrap();
+        execution(&mut p, 1, 0, 1);
+        let text = text(p);
         assert!(!text.contains("NaN"), "{text}");
         assert!(!text.contains("eta -"), "{text}");
     }
 
     #[test]
     fn empty_bound_is_reported_without_an_eta_blowup() {
-        let mut p = ProgressReporter::to_writer(Vec::new()).with_interval(Duration::ZERO);
+        let mut p = reporter();
         p.registry().set_theorem1(2, 1);
+        p.registry().mark_started();
         p.search_started("icb");
         // A bound can legitimately start with zero deferred work items
         // (everything at the previous bound completed without deferral).
-        p.bound_started(3, 0);
+        start_bound(&mut p, 3, 0);
         p.search_finished(&SearchReport {
             strategy: "icb".into(),
             ..SearchReport::default()
         });
-        let text = String::from_utf8(p.out).unwrap();
+        let text = text(p);
         assert!(text.contains("entering bound 3 (0 work items)"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
         // No executions happened: the ETA must be absent, not infinite.
         assert!(!text.contains("eta"), "{text}");
-    }
-
-    #[test]
-    fn shared_registry_reporter_renders_without_feeding() {
-        // When the registry is shared, upstream (the MetricsBridge)
-        // feeds it; the reporter renders exactly those figures and never
-        // double-counts the step histogram.
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut p = ProgressReporter::to_writer(Vec::new())
-            .with_interval(Duration::ZERO)
-            .with_registry(Arc::clone(&registry));
-        // Simulate the bridge mirroring an event before forwarding it.
-        registry.mark_started();
-        registry.set_strategy("icb");
-        p.search_started("icb");
-        let stats = ExecStats {
-            steps: 3,
-            ..ExecStats::default()
-        };
-        registry.record_execution(5, &stats, &ExecutionOutcome::Terminated, 4);
-        p.execution_finished(5, &stats, &ExecutionOutcome::Terminated, 4);
-        let text = String::from_utf8(p.out).unwrap();
-        assert!(text.contains("[icb] 5 execs"), "{text}");
-        assert!(text.contains("4 states"), "{text}");
-        let (_, _, count) = registry.step_histogram();
-        assert_eq!(count, 1, "reporter must not double-feed a shared registry");
     }
 }

@@ -23,4 +23,4 @@
 //! ```
 
 pub use icb_core::metrics::{CACHE_SHARDS, MAX_WORKERS, STEP_BUCKETS};
-pub use icb_core::{MetricsBridge, MetricsRegistry, MetricsSnapshot, WorkerStats};
+pub use icb_core::{MetricsRegistry, MetricsSnapshot, WorkerStats};
