@@ -34,9 +34,9 @@ fn served_executions_match_the_final_report_at_jobs_2() {
         .run()
         .unwrap();
 
-    // Scrape *after* the run: the bridge pins the registry's cumulative
-    // totals to the final report on `search_finished`, so the page and
-    // the report must agree to the execution.
+    // Scrape *after* the run: the search's ledger pins the registry's
+    // cumulative totals to the final report before `search_finished`,
+    // so the page and the report must agree to the execution.
     let parsed = parse_exposition(&scrape(addr).unwrap());
     assert_eq!(
         series_value(&parsed, "icb_executions_total"),

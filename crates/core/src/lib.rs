@@ -19,6 +19,9 @@
 //!   [`Scheduler`]. Implemented by the stateless runtime (`icb-runtime`)
 //!   and by the explicit-state VM (`icb-statevm`).
 //! * [`Scheduler`] — decides which thread runs at every scheduling point.
+//! * [`Decisions`] — the one step recorder every host drives: it asks the
+//!   scheduler and records the [`Trace`] from which preemptions are
+//!   counted, so a host only computes enabled sets and applies effects.
 //! * [`Search`] — runs a [`Strategy`]: ICB (the paper's Algorithm 1 in
 //!   its stateless, replay-based form), plus the baselines it is
 //!   evaluated against: DFS (optionally depth-bounded, the paper's `dfs`
@@ -29,8 +32,8 @@
 //! # Quick example
 //!
 //! ```
-//! use icb_core::{ControlledProgram, Scheduler, SchedulePoint, StateSink,
-//!                ExecutionResult, ExecutionOutcome, Tid, TraceEntry, ExecStats};
+//! use icb_core::{ControlledProgram, Decisions, NextOp, Scheduler, StateSink,
+//!                ExecutionResult, ExecutionOutcome, Tid};
 //! use icb_core::search::Search;
 //!
 //! /// A toy two-thread program over one shared variable; thread 1 asserts
@@ -40,25 +43,18 @@
 //!     fn execute(&self, sched: &mut dyn Scheduler, _sink: &mut dyn StateSink)
 //!         -> ExecutionResult
 //!     {
-//!         // Hand-rolled interpreter: each thread performs one step.
+//!         // Hand-rolled interpreter: each thread performs one step. The
+//!         // host computes the enabled set and applies the chosen step;
+//!         // `Decisions` asks the scheduler and records the trace.
 //!         let mut shared = 0u8;
 //!         let mut done = [false, false];
-//!         let mut trace = Vec::new();
 //!         let mut failure = None;
-//!         let mut current: Option<Tid> = None;
+//!         let mut decisions = Decisions::new(sched);
 //!         loop {
 //!             let enabled: Vec<Tid> = (0..2)
 //!                 .filter(|&i| !done[i]).map(Tid).collect();
 //!             if enabled.is_empty() { break; }
-//!             let current_enabled =
-//!                 current.map_or(false, |t| !done[t.index()]);
-//!             let chosen = sched.pick(SchedulePoint {
-//!                 step_index: trace.len(),
-//!                 current, current_enabled,
-//!                 enabled: &enabled,
-//!             });
-//!             trace.push(TraceEntry::new(chosen, enabled.clone(), current,
-//!                                        current_enabled, false));
+//!             let (chosen, _fault) = decisions.next(enabled, |_| NextOp::default());
 //!             match chosen.index() {
 //!                 0 => shared = 1,
 //!                 _ => if shared != 0 && failure.is_none() {
@@ -66,7 +62,6 @@
 //!                 },
 //!             }
 //!             done[chosen.index()] = true;
-//!             current = Some(chosen);
 //!         }
 //!         let outcome = match failure {
 //!             Some(message) => ExecutionOutcome::AssertionFailure {
@@ -74,7 +69,7 @@
 //!             },
 //!             None => ExecutionOutcome::Terminated,
 //!         };
-//!         ExecutionResult { outcome, trace: trace.into(), stats: ExecStats::default() }
+//!         decisions.finish(outcome)
 //!     }
 //! }
 //!
@@ -115,7 +110,7 @@ pub use cache::{Certification, ExplorationCache, NoopCache};
 pub use coverage::{CoverageTracker, NullSink, StateSink};
 pub use explain::{ExplainedWitness, NearestPassing};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, WorkerStats};
-pub use program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
+pub use program::{ControlledProgram, Decisions, FaultPoint, NextOp, SchedulePoint, Scheduler};
 pub use replay::ReplayScheduler;
 pub use search::{Search, SearchError, Strategy};
 pub use snapshot::{Checkpointer, ResumeBase, SearchSnapshot, StrategyState};

@@ -1,9 +1,12 @@
 //! The interface between programs under test and search strategies.
 
+use std::fmt;
+use std::time::{Duration, Instant};
+
 use crate::coverage::StateSink;
-use crate::telemetry::{SearchObserver, SiteId};
+use crate::telemetry::{Phase, SearchObserver, SiteId};
 use crate::tid::Tid;
-use crate::trace::ExecutionResult;
+use crate::trace::{ExecutionOutcome, ExecutionResult, Trace, TraceEntry};
 
 /// A scheduling point: the information available to the scheduler when it
 /// must decide which thread runs next.
@@ -52,8 +55,8 @@ impl SchedulePoint<'_> {
 /// A fallible operation about to execute: the information available to
 /// the scheduler when it must decide whether to inject a fault.
 ///
-/// Program hosts reach a fault point immediately after the scheduling
-/// decision of a step whose operation is *designated fallible* — a
+/// The step recorder ([`Decisions`]) reaches a fault point immediately
+/// after the scheduling decision of a step whose operation is *designated fallible* — a
 /// `try_lock` (may fail even when the lock is free), a condvar wait (may
 /// wake spuriously), a bounded channel send (may observe a full
 /// channel), or an explicit `fail_point(site)`. The scheduler answers
@@ -86,7 +89,7 @@ pub trait Scheduler {
     fn pick(&mut self, point: SchedulePoint<'_>) -> Tid;
 
     /// Decides whether to inject a fault into the fallible operation at
-    /// `point`. Called by the program host right after
+    /// `point`. Called by the host's [`Decisions`] right after
     /// [`pick`](Scheduler::pick) chose the thread, for the same step,
     /// and only for designated fallible operations.
     ///
@@ -109,6 +112,153 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     }
 }
 
+/// What a host tells [`Decisions::next`] about the chosen thread's next
+/// operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NextOp {
+    /// The operation's site, as resolved by the host
+    /// ([`SiteId::UNKNOWN`] by default).
+    pub site: SiteId,
+    /// Whether the operation is potentially blocking (the `b` of
+    /// Theorem 1).
+    pub blocking: bool,
+    /// Whether the operation is designated fallible, so the scheduler
+    /// decides whether to inject a fault into it.
+    pub fallible: bool,
+}
+
+impl Default for NextOp {
+    fn default() -> Self {
+        NextOp {
+            site: SiteId::UNKNOWN,
+            blocking: false,
+            fallible: false,
+        }
+    }
+}
+
+/// The step recorder every [`ControlledProgram`] host drives.
+///
+/// A host computes the enabled set at each scheduling point and applies
+/// the chosen thread's effect; everything between is one call to
+/// [`next`](Decisions::next). It asks [`Scheduler::pick`] and, for a
+/// fallible operation only, [`Scheduler::decide_fault`] for the same
+/// step, and appends the [`TraceEntry`] that preemptions are counted
+/// from (Appendix A).
+pub struct Decisions<'s> {
+    scheduler: &'s mut dyn Scheduler,
+    trace: Trace,
+    /// Time spent choosing, `None` unless phase timing is on.
+    selection: Option<Duration>,
+}
+
+impl fmt::Debug for Decisions<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decisions")
+            .field("trace", &self.trace)
+            .field("selection", &self.selection)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'s> Decisions<'s> {
+    /// Starts recording an execution scheduled by `scheduler`.
+    pub fn new(scheduler: &'s mut dyn Scheduler) -> Self {
+        Decisions {
+            scheduler,
+            trace: Trace::new(),
+            selection: None,
+        }
+    }
+
+    /// Times the scheduler's decisions as [`Phase::Selection`] when `on`
+    /// (hosts pass [`SearchObserver::wants_phase_timing`]).
+    pub fn time_phases(mut self, on: bool) -> Self {
+        self.selection = on.then_some(Duration::ZERO);
+        self
+    }
+
+    /// The thread that executed the last recorded step; `None` before
+    /// the first.
+    pub fn current(&self) -> Option<Tid> {
+        self.trace.entries().last().map(|e| e.chosen)
+    }
+
+    /// Number of steps recorded so far, which is the next step's index.
+    pub fn steps(&self) -> usize {
+        self.trace.len()
+    }
+
+    /// Time spent choosing so far (zero unless phase timing is on).
+    pub fn selection_time(&self) -> Duration {
+        self.selection.unwrap_or_default()
+    }
+
+    /// Records one step: the scheduler picks one of `enabled` (sorted by
+    /// id, never empty) and `op` describes the chosen thread's operation.
+    /// Returns the chosen thread and whether to inject a fault into it.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a scheduler panic (a replay divergence among them),
+    /// earlier steps still recorded, and panics on a disabled choice.
+    pub fn next(&mut self, enabled: Vec<Tid>, op: impl FnOnce(Tid) -> NextOp) -> (Tid, bool) {
+        let t0 = self.selection.is_some().then(Instant::now);
+        let step_index = self.trace.len();
+        let current = self.current();
+        let current_enabled = current.is_some_and(|c| enabled.contains(&c));
+        let chosen = self.scheduler.pick(SchedulePoint {
+            step_index,
+            current,
+            current_enabled,
+            enabled: &enabled,
+        });
+        assert!(
+            enabled.contains(&chosen),
+            "scheduler chose {chosen}, which is not enabled",
+        );
+        let op = op(chosen);
+        // Asked before the step index advances, so a replay sees one
+        // aligned (choice, fault) pair.
+        let fault = op.fallible
+            && self.scheduler.decide_fault(FaultPoint {
+                step_index,
+                tid: chosen,
+                site: op.site,
+            });
+        if let (Some(t0), Some(selection)) = (t0, self.selection.as_mut()) {
+            *selection += t0.elapsed();
+        }
+        self.trace.push(
+            TraceEntry::new(chosen, enabled, current, current_enabled, op.blocking)
+                .with_site(op.site)
+                .with_fault(fault),
+        );
+        (chosen, fault)
+    }
+
+    /// Reports the execution's three phases to `observer`, in their fixed
+    /// order — Selection (the recorder's own timer), RaceDetection,
+    /// Replay — when phase timing is on; reports nothing otherwise.
+    pub fn report_phases(
+        &self,
+        observer: &mut dyn SearchObserver,
+        race_detection: Duration,
+        replay: Duration,
+    ) {
+        if let Some(selection) = self.selection {
+            observer.phase_time(Phase::Selection, selection);
+            observer.phase_time(Phase::RaceDetection, race_detection);
+            observer.phase_time(Phase::Replay, replay);
+        }
+    }
+
+    /// Ends the execution with `outcome` and the steps recorded so far.
+    pub fn finish(self, outcome: ExecutionOutcome) -> ExecutionResult {
+        ExecutionResult::from_trace(outcome, self.trace)
+    }
+}
+
 /// A program whose scheduling is fully controlled by a [`Scheduler`].
 ///
 /// This is the *stateless checker* interface (the paper's CHESS): the
@@ -123,7 +273,8 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 ///   sequence of choices must yield the identical execution.
 /// * At every scheduling point, the program must consult the scheduler
 ///   with the accurate enabled set and record the decision in the
-///   returned trace.
+///   returned trace; passing the enabled set to one [`Decisions`]
+///   recorder does both.
 /// * The program must terminate under every schedule (possibly via the
 ///   step limit escape hatch of its host).
 pub trait ControlledProgram {
@@ -196,6 +347,8 @@ impl<P: ControlledProgram + ?Sized> ControlledProgram for &P {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::DivergencePayload;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn default_choice_continues_current() {
@@ -244,5 +397,87 @@ mod tests {
         };
         assert!(p.is_enabled(Tid(1)));
         assert!(!p.is_enabled(Tid(2)));
+    }
+
+    /// Picks the highest enabled id, injects every fault, diverges at
+    /// `diverge_at`, and logs each question: `p{step}` (`+` when the
+    /// current thread is enabled) and `f{step}:{thread}`.
+    #[derive(Default)]
+    struct Logger {
+        log: Vec<String>,
+        diverge_at: Option<usize>,
+    }
+
+    impl Scheduler for Logger {
+        fn pick(&mut self, p: SchedulePoint<'_>) -> Tid {
+            if self.diverge_at == Some(p.step_index) {
+                DivergencePayload::new(p.step_index, Tid(9), p.enabled.into()).raise();
+            }
+            let plus = if p.current_enabled { "+" } else { "" };
+            self.log.push(format!("p{}{plus}", p.step_index));
+            *p.enabled.last().unwrap()
+        }
+
+        fn decide_fault(&mut self, p: FaultPoint) -> bool {
+            self.log.push(format!("f{}:{}", p.step_index, p.tid));
+            true
+        }
+    }
+
+    /// Two threads of three steps, each fallible at an even step index,
+    /// run to the end or to a replay divergence.
+    fn drive(logger: &mut Logger) -> ExecutionResult {
+        let mut decisions = Decisions::new(logger);
+        let mut left = [3usize, 3];
+        let run = catch_unwind(AssertUnwindSafe(|| loop {
+            let enabled: Vec<Tid> = (0..2).filter(|&i| left[i] > 0).map(Tid).collect();
+            if enabled.is_empty() {
+                return;
+            }
+            let fallible = decisions.steps().is_multiple_of(2);
+            let (chosen, _) = decisions.next(enabled, |_| NextOp {
+                fallible,
+                ..NextOp::default()
+            });
+            left[chosen.index()] -= 1;
+        }));
+        let outcome = match run {
+            Ok(()) => ExecutionOutcome::Terminated,
+            Err(payload) => payload
+                .downcast::<DivergencePayload>()
+                .unwrap()
+                .into_outcome(),
+        };
+        decisions.finish(outcome)
+    }
+
+    #[test]
+    fn recorder_asks_pick_then_fault_for_the_same_fallible_step() {
+        let mut logger = Logger::default();
+        let result = drive(&mut logger);
+        // Faults are asked only at the fallible (even) steps, right after
+        // the pick of the same step and for the thread it chose; step 3
+        // switches away from the finished thread 1 without a preemption.
+        let log = "p0 f0:T1 p1+ p2+ f2:T1 p3 p4+ f4:T0 p5+";
+        assert_eq!(logger.log.join(" "), log);
+        assert_eq!((result.trace.len(), result.stats.faults), (6, 3));
+        for e in result.trace.entries() {
+            let derived = e.current.is_some_and(|c| e.enabled.contains(&c));
+            assert_eq!(e.current_enabled, derived);
+        }
+    }
+
+    #[test]
+    fn a_pick_panic_keeps_the_steps_recorded_before_it() {
+        let mut logger = Logger {
+            diverge_at: Some(2),
+            ..Logger::default()
+        };
+        let result = drive(&mut logger);
+        assert_eq!(result.trace.len(), 2);
+        assert!(matches!(
+            result.outcome,
+            ExecutionOutcome::ReplayDivergence { step: 2, .. }
+        ));
     }
 }

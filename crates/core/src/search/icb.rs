@@ -622,20 +622,8 @@ impl Scheduler for TreeScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use crate::bounds;
-    use crate::search::testprog::{schedule_count, Counters};
-    use crate::search::{BugReport, Search, SearchConfig};
-
-    /// The first (minimal) bug of a bug hunt.
-    fn minimal_bug(p: &Counters, max_executions: usize) -> Option<BugReport> {
-        let report = Search::over(p)
-            .config(SearchConfig {
-                max_executions: Some(max_executions),
-                ..SearchConfig::bug_hunt()
-            })
-            .run()
-            .unwrap();
-        report.bugs.into_iter().next()
-    }
+    use crate::search::testprog::{minimal_bug, schedule_count, Counters};
+    use crate::search::{Search, SearchConfig};
 
     #[test]
     fn exhausts_two_by_two_counter_program() {

@@ -140,35 +140,23 @@ impl std::error::Error for SearchError {}
 /// # Example
 ///
 /// ```
-/// # use icb_core::{ControlledProgram, Scheduler, SchedulePoint, StateSink,
-/// #                ExecutionResult, ExecutionOutcome, Tid, TraceEntry, ExecStats};
+/// # use icb_core::{ControlledProgram, Decisions, NextOp, Scheduler, StateSink,
+/// #                ExecutionResult, ExecutionOutcome, Tid};
 /// # struct Toy;
 /// # impl ControlledProgram for Toy {
 /// #     fn execute(&self, sched: &mut dyn Scheduler, _sink: &mut dyn StateSink)
 /// #         -> ExecutionResult
 /// #     {
 /// #         let mut done = [false, false];
-/// #         let mut trace = Vec::new();
-/// #         let mut current: Option<Tid> = None;
+/// #         let mut decisions = Decisions::new(sched);
 /// #         loop {
 /// #             let enabled: Vec<Tid> = (0..2)
 /// #                 .filter(|&i| !done[i]).map(Tid).collect();
 /// #             if enabled.is_empty() { break; }
-/// #             let current_enabled = current.map_or(false, |t| !done[t.index()]);
-/// #             let chosen = sched.pick(SchedulePoint {
-/// #                 step_index: trace.len(), current, current_enabled,
-/// #                 enabled: &enabled,
-/// #             });
-/// #             trace.push(TraceEntry::new(chosen, enabled.clone(), current,
-/// #                                        current_enabled, false));
+/// #             let (chosen, _) = decisions.next(enabled, |_| NextOp::default());
 /// #             done[chosen.index()] = true;
-/// #             current = Some(chosen);
 /// #         }
-/// #         ExecutionResult {
-/// #             outcome: ExecutionOutcome::Terminated,
-/// #             trace: trace.into(),
-/// #             stats: ExecStats::default(),
-/// #         }
+/// #         decisions.finish(ExecutionOutcome::Terminated)
 /// #     }
 /// # }
 /// use icb_core::search::{Search, SearchConfig, Strategy};

@@ -8,10 +8,22 @@
 //! It names the library as `icb_core` so that both crates compile it.
 
 use icb_core::coverage::fingerprint_bytes;
+use icb_core::search::{BugReport, Search, SearchConfig};
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, FaultPoint, SchedulePoint, Scheduler,
-    SiteId, StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, Scheduler, SiteId,
+    StateSink, Tid,
 };
+
+/// Reports the state of a counter program: the counter and every
+/// thread's position.
+fn visit(sink: &mut dyn StateSink, counter: u32, pos: &[usize]) {
+    let mut bytes = Vec::with_capacity(4 + pos.len() * 8);
+    bytes.extend_from_slice(&counter.to_le_bytes());
+    for p in pos {
+        bytes.extend_from_slice(&(*p as u64).to_le_bytes());
+    }
+    sink.visit(fingerprint_bytes(&bytes));
+}
 
 /// `n` threads × `k` steps, no blocking; optional bug when thread
 /// `bug_thread` observes `counter == bug_value` at its own step
@@ -26,28 +38,14 @@ impl ControlledProgram for Counters {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
         let mut counter: u32 = 0;
         let mut pos = vec![0usize; self.n];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler);
         let mut failure: Option<Tid> = None;
         loop {
             let enabled: Vec<Tid> = (0..self.n).filter(|&i| pos[i] < self.k).map(Tid).collect();
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|t| pos[t.index()] < self.k);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
+            let (chosen, _) = decisions.next(enabled, |_| NextOp::default());
             if let Some((bt, bs, bv)) = self.bug {
                 if chosen.index() == bt && pos[bt] == bs && counter == bv {
                     failure = Some(chosen);
@@ -55,15 +53,7 @@ impl ControlledProgram for Counters {
             }
             counter += 1;
             pos[chosen.index()] += 1;
-            current = Some(chosen);
-
-            let mut bytes = Vec::with_capacity(4 + self.n * 8);
-            bytes.extend_from_slice(&counter.to_le_bytes());
-            for p in &pos {
-                bytes.extend_from_slice(&(*p as u64).to_le_bytes());
-            }
-            sink.visit(fingerprint_bytes(&bytes));
-
+            visit(sink, counter, &pos);
             if failure.is_some() {
                 break;
             }
@@ -75,7 +65,7 @@ impl ControlledProgram for Counters {
             },
             None => ExecutionOutcome::Terminated,
         };
-        ExecutionResult::from_trace(outcome, trace)
+        decisions.finish(outcome)
     }
 }
 
@@ -93,43 +83,22 @@ impl ControlledProgram for FaultyCounters {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
         let mut counter: u32 = 0;
         let mut pos = vec![0usize; self.n];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler);
         loop {
             let enabled: Vec<Tid> = (0..self.n).filter(|&i| pos[i] < self.k).map(Tid).collect();
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|t| pos[t.index()] < self.k);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
+            let (chosen, fault) = decisions.next(enabled, |t| NextOp {
+                site: SiteId::at(t.index() as u32, "incr", pos[t.index()] as u32),
+                fallible: true,
+                ..NextOp::default()
             });
-            let site = SiteId::at(chosen.index() as u32, "incr", pos[chosen.index()] as u32);
-            let fault = scheduler.decide_fault(FaultPoint {
-                step_index: trace.len(),
-                tid: chosen,
-                site,
-            });
-            trace.push(
-                TraceEntry::new(chosen, enabled, current, current_enabled, false)
-                    .with_site(site)
-                    .with_fault(fault),
-            );
             if !fault {
                 counter += 1;
             }
             pos[chosen.index()] += 1;
-            current = Some(chosen);
-
-            let mut bytes = Vec::with_capacity(4 + self.n * 8);
-            bytes.extend_from_slice(&counter.to_le_bytes());
-            for p in &pos {
-                bytes.extend_from_slice(&(*p as u64).to_le_bytes());
-            }
-            sink.visit(fingerprint_bytes(&bytes));
+            visit(sink, counter, &pos);
         }
         let expected = (self.n * self.k) as u32;
         let outcome = if counter == expected {
@@ -140,8 +109,23 @@ impl ControlledProgram for FaultyCounters {
                 message: format!("lost update: counter {counter} != {expected}"),
             }
         };
-        ExecutionResult::from_trace(outcome, trace)
+        decisions.finish(outcome)
     }
+}
+
+/// The first (minimal) bug of a bug hunt.
+pub fn minimal_bug(p: &Counters, max_executions: usize) -> Option<BugReport> {
+    let config = SearchConfig {
+        max_executions: Some(max_executions),
+        ..SearchConfig::bug_hunt()
+    };
+    Search::over(p)
+        .config(config)
+        .run()
+        .unwrap()
+        .bugs
+        .into_iter()
+        .next()
 }
 
 /// Total number of schedules of `n` threads × `k` steps:

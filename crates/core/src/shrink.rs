@@ -61,20 +61,7 @@ pub fn minimize_witness(program: &dyn ControlledProgram, schedule: &Schedule) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::testprog::Counters;
-    use crate::search::{BugReport, Search, SearchConfig};
-
-    /// The first (minimal) bug of a bug hunt.
-    fn minimal_bug(p: &Counters, max_executions: usize) -> Option<BugReport> {
-        let report = Search::over(p)
-            .config(SearchConfig {
-                max_executions: Some(max_executions),
-                ..SearchConfig::bug_hunt()
-            })
-            .run()
-            .unwrap();
-        report.bugs.into_iter().next()
-    }
+    use crate::search::testprog::{minimal_bug, Counters};
 
     #[test]
     fn shrinks_to_the_decisive_prefix() {

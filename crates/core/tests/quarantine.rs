@@ -11,9 +11,37 @@ use std::time::{Duration, Instant};
 
 use icb_core::search::{Search, SearchConfig, Strategy};
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler, SearchObserver,
-    StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, Scheduler,
+    SearchObserver, StateSink, Tid,
 };
+
+/// Runs `n` threads × `k` steps, `held(pos, t)` holding thread `t`
+/// back, visiting the thread positions after every step and handing
+/// `check` each step's number (from 1) and thread.
+fn run_steps(
+    scheduler: &mut dyn Scheduler,
+    sink: &mut dyn StateSink,
+    (n, k): (usize, usize),
+    held: impl Fn(&[usize], usize) -> bool,
+    check: impl Fn(usize, Tid),
+) -> ExecutionResult {
+    let mut pos = vec![0usize; n];
+    let mut decisions = Decisions::new(scheduler);
+    loop {
+        let enabled: Vec<Tid> = (0..n)
+            .filter(|&i| pos[i] < k && !held(&pos, i))
+            .map(Tid)
+            .collect();
+        if enabled.is_empty() {
+            return decisions.finish(ExecutionOutcome::Terminated);
+        }
+        let (chosen, _) = decisions.next(enabled, |_| NextOp::default());
+        check(decisions.steps(), chosen);
+        pos[chosen.index()] += 1;
+        let state = pos.iter().fold(0u64, |h, &p| h << 8 | p as u64);
+        sink.visit(icb_core::coverage::mix64(state));
+    }
+}
 
 /// Two threads × `k` steps, deliberately nondeterministic: on every
 /// odd-numbered run, thread 1 is blocked until thread 0 finishes. A
@@ -38,37 +66,8 @@ impl ControlledProgram for FlakyCounters {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
         let run = self.runs.fetch_add(1, Ordering::Relaxed);
         let constrained = run % 2 == 1;
-        let mut pos = [0usize; 2];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
-        loop {
-            let enabled: Vec<Tid> = (0..2)
-                .filter(|&i| pos[i] < self.k && !(constrained && i == 1 && pos[0] < self.k))
-                .map(Tid)
-                .collect();
-            if enabled.is_empty() {
-                break;
-            }
-            let current_enabled = current.is_some_and(|t| enabled.contains(&t));
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
-            pos[chosen.index()] += 1;
-            current = Some(chosen);
-            let fp = (pos[0] as u64) << 32 | pos[1] as u64;
-            sink.visit(icb_core::coverage::mix64(fp));
-        }
-        ExecutionResult::from_trace(ExecutionOutcome::Terminated, trace)
+        let held = |pos: &[usize], i| constrained && i == 1 && pos[0] < self.k;
+        run_steps(scheduler, sink, (2, self.k), held, |_, _| {})
     }
 }
 
@@ -149,37 +148,17 @@ struct PanicsOnT1First {
 
 impl ControlledProgram for PanicsOnT1First {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
-        let mut pos = [0usize; 2];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
-        loop {
-            let enabled: Vec<Tid> = (0..2).filter(|&i| pos[i] < self.k).map(Tid).collect();
-            if enabled.is_empty() {
-                break;
-            }
-            let current_enabled = current.is_some_and(|t| enabled.contains(&t));
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            if trace.is_empty() && chosen == Tid(1) {
-                panic!("drill: thread 1 scheduled first");
-            }
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
-            pos[chosen.index()] += 1;
-            current = Some(chosen);
-            let fp = (pos[0] as u64) << 32 | pos[1] as u64;
-            sink.visit(icb_core::coverage::mix64(fp));
-        }
-        ExecutionResult::from_trace(ExecutionOutcome::Terminated, trace)
+        run_steps(
+            scheduler,
+            sink,
+            (2, self.k),
+            |_, _| false,
+            |step, chosen| {
+                if step == 1 && chosen == Tid(1) {
+                    panic!("drill: thread 1 scheduled first");
+                }
+            },
+        )
     }
 }
 
@@ -351,38 +330,12 @@ thread_local! {
 
 impl ControlledProgram for PanicsOnce {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
-        let mut pos = vec![0usize; self.n];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
-        loop {
-            let enabled: Vec<Tid> = (0..self.n).filter(|&i| pos[i] < self.k).map(Tid).collect();
-            if enabled.is_empty() {
-                break;
-            }
-            let current_enabled = current.is_some_and(|t| enabled.contains(&t));
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
-            pos[chosen.index()] += 1;
-            current = Some(chosen);
-            let state = pos.iter().fold(0u64, |h, &p| h << 8 | p as u64);
-            sink.visit(icb_core::coverage::mix64(state));
-        }
+        let result = run_steps(scheduler, sink, (self.n, self.k), |_, _| false, |_, _| {});
         let first = self.runs.fetch_add(1, Ordering::SeqCst) == 0;
         if first && self.peer_exits.is_some() {
             std::thread::sleep(Duration::from_millis(50));
         }
-        let schedule = trace.schedule();
+        let schedule = result.trace.schedule();
         if (self.trigger)(schedule.as_slice()) && self.fired.fetch_add(1, Ordering::SeqCst) == 0 {
             if let Some(exits) = &self.peer_exits {
                 let waited = Instant::now();
@@ -399,7 +352,7 @@ impl ControlledProgram for PanicsOnce {
                     .get_or_insert_with(|| ExitGuard(exits.clone()));
             });
         }
-        ExecutionResult::from_trace(ExecutionOutcome::Terminated, trace)
+        result
     }
 }
 

@@ -8,8 +8,8 @@
 use icb_core::rng::SplitMix64;
 use icb_core::search::{Search, SearchConfig, Strategy};
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler, StateSink, Tid,
-    Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, SchedulePoint,
+    Scheduler, StateSink, Tid,
 };
 
 /// A deterministic little interpreter over `steps[i] = thread of step i`
@@ -24,31 +24,16 @@ impl ControlledProgram for Planned {
     fn execute(&self, scheduler: &mut dyn Scheduler, _sink: &mut dyn StateSink) -> ExecutionResult {
         let n = self.steps_per_thread.len();
         let mut left = self.steps_per_thread.clone();
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler);
         loop {
             let enabled: Vec<Tid> = (0..n).filter(|&i| left[i] > 0).map(Tid).collect();
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|c| left[c.index()] > 0);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
+            let (chosen, _) = decisions.next(enabled, |_| NextOp::default());
             left[chosen.index()] -= 1;
-            current = Some(chosen);
         }
-        ExecutionResult::from_trace(ExecutionOutcome::Terminated, trace)
+        decisions.finish(ExecutionOutcome::Terminated)
     }
 }
 

@@ -5,14 +5,14 @@
 //! task announces the synchronization operation it is about to perform
 //! and parks; the *controller* (the thread that called
 //! [`ControlledProgram::execute`](icb_core::ControlledProgram)) computes
-//! the enabled set, asks the search's [`Scheduler`] to pick, and hands the
-//! baton to the chosen task. The task applies the operation's effect,
-//! runs user code up to its next synchronization operation, and returns
-//! the baton.
+//! the enabled set, records the search's [`Scheduler`] decision through
+//! one [`Decisions`] step, and hands the baton to the chosen task. The
+//! task applies the operation's effect, runs user code up to its next
+//! synchronization operation, and returns the baton.
 //!
-//! Aborts (assertion failure, data race, deadlock, step limit) unwind all
-//! parked tasks cooperatively via a private panic payload, so worker
-//! threads are always reclaimed.
+//! Aborts (assertion failure, data race, deadlock, step limit, a failing
+//! scheduler) unwind all parked tasks cooperatively via a private panic
+//! payload, so worker threads are always reclaimed.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -22,8 +22,8 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use icb_core::{
-    DivergencePayload, ExecutionOutcome, ExecutionResult, FaultPoint, Phase, SchedulePoint,
-    Scheduler, SearchObserver, StateSink, Tid, Trace, TraceEntry,
+    Decisions, DivergencePayload, ExecutionOutcome, ExecutionResult, NextOp, Scheduler,
+    SearchObserver, StateSink, Tid,
 };
 use icb_race::{AccessKind, HbFingerprint, RaceDetector};
 
@@ -215,8 +215,6 @@ pub(crate) struct ExecInner {
     outcome: Option<ExecutionOutcome>,
     tasks: Vec<TaskEntry>,
     alive: usize,
-    current: Option<Tid>,
-    trace: Trace,
     pub(crate) resources: Resources,
     pub(crate) detector: RaceDetector,
     fingerprint: HbFingerprint,
@@ -224,7 +222,6 @@ pub(crate) struct ExecInner {
     /// Race descriptions queued by task threads for the controller to
     /// forward to the observer (tasks cannot reach the `&mut` observer).
     pending_races: Vec<String>,
-    steps: usize,
     /// Whether the observer asked for wall-clock phase attribution.
     time_phases: bool,
     /// Wall-clock spent inside the race detector, accrued under the
@@ -233,6 +230,16 @@ pub(crate) struct ExecInner {
 }
 
 impl ExecInner {
+    /// Forwards what task threads queued for the sink and the observer.
+    fn flush(&mut self, sink: &mut dyn StateSink, observer: &mut dyn SearchObserver) {
+        if let Some(fp) = self.pending_fp.take() {
+            sink.visit(fp);
+        }
+        for race in self.pending_races.drain(..) {
+            observer.race_detected(&race);
+        }
+    }
+
     /// Runs a race-detector operation, attributing its wall-clock to the
     /// race-detection phase when phase timing is on.
     fn with_detector<R>(&mut self, f: impl FnOnce(&mut RaceDetector) -> R) -> R {
@@ -310,14 +317,11 @@ impl Execution {
                 outcome: None,
                 tasks: Vec::new(),
                 alive: 0,
-                current: None,
-                trace: Trace::new(),
                 resources: Resources::default(),
                 detector: RaceDetector::new(),
                 fingerprint: HbFingerprint::new(),
                 pending_fp: None,
                 pending_races: Vec::new(),
-                steps: 0,
                 time_phases: false,
                 detector_time: Duration::ZERO,
             }),
@@ -339,7 +343,9 @@ impl Execution {
         }
     }
 
-    /// Launches the root task and runs the controller loop to completion.
+    /// Launches the root task, then runs the controller loop to
+    /// completion: repeatedly compute the enabled set, record the
+    /// scheduler's decision, and hand the baton over.
     pub(crate) fn run(
         self: &Arc<Self>,
         body: Box<dyn FnOnce() + Send + 'static>,
@@ -348,38 +354,24 @@ impl Execution {
         observer: &mut dyn SearchObserver,
     ) -> ExecutionResult {
         install_panic_hook();
-        {
-            let mut inner = self.lock();
-            inner.tasks.push(TaskEntry {
-                finished: false,
-                pending: Some(PendingOp::Start),
-                fault: false,
-            });
-            inner.alive = 1;
-            inner.time_phases = observer.wants_phase_timing();
-        }
+        let time_phases = observer.wants_phase_timing();
+        let mut inner = self.lock();
+        inner.tasks.push(TaskEntry {
+            finished: false,
+            pending: Some(PendingOp::Start),
+            fault: false,
+        });
+        inner.alive = 1;
+        inner.time_phases = time_phases;
         let exec = Arc::clone(self);
         pool::run_on_worker(Box::new(move || task_main(exec, Tid::MAIN, body)));
-        self.control(scheduler, sink, observer)
-    }
-
-    /// The controller loop: repeatedly compute the enabled set, consult
-    /// the scheduler, and hand the baton over.
-    fn control(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn StateSink,
-        observer: &mut dyn SearchObserver,
-    ) -> ExecutionResult {
         let max_steps = self.config.max_steps;
         let deadline = self
             .config
             .max_wall_time
             .map(|budget| Instant::now() + budget);
-        let mut inner = self.lock();
-        let time_phases = inner.time_phases;
+        let mut decisions = Decisions::new(scheduler).time_phases(time_phases);
         let mut replay_time = Duration::ZERO;
-        let mut selection_time = Duration::ZERO;
         // A scheduler panic other than a replay divergence, re-raised
         // once the tasks are drained.
         let mut scheduler_panic = None;
@@ -398,7 +390,7 @@ impl Execution {
                 // it finished so the abort drain below doesn't wait for
                 // it; if it ever wakes it unwinds via the abort flag, and
                 // handle_task_panic's finished-guard skips the recount.
-                if let Some(holder) = inner.current {
+                if let Some(holder) = decisions.current() {
                     if !inner.tasks[holder.index()].finished {
                         inner.tasks[holder.index()].finished = true;
                         inner.alive -= 1;
@@ -409,16 +401,11 @@ impl Execution {
                     .get_or_insert(ExecutionOutcome::WatchdogTimeout);
                 self.abort(&mut inner);
             }
-            if let Some(fp) = inner.pending_fp.take() {
-                sink.visit(fp);
-            }
-            for race in inner.pending_races.drain(..) {
-                observer.race_detected(&race);
-            }
+            inner.flush(sink, observer);
             if inner.abort || inner.alive == 0 {
                 break;
             }
-            if inner.steps >= max_steps {
+            if decisions.steps() >= max_steps {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::StepLimitExceeded);
@@ -454,27 +441,26 @@ impl Execution {
                 break;
             }
 
-            let current = inner.current;
-            let current_enabled = current.is_some_and(|c| enabled.contains(&c));
-            let point = SchedulePoint {
-                step_index: inner.steps,
-                current,
-                current_enabled,
-                enabled: &enabled,
-            };
-            let picked = {
-                let t0 = time_phases.then(Instant::now);
-                let picked = catch_unwind(AssertUnwindSafe(|| scheduler.pick(point)));
-                if let Some(t0) = t0 {
-                    selection_time += t0.elapsed();
-                }
-                picked
-            };
-            let chosen = match picked {
-                Ok(chosen) => chosen,
+            // Every scheduler failure — a panicking pick or fault
+            // decision, a choice outside the enabled set — unwinds out of
+            // this one call, so it drains the tasks and reclaims the
+            // workers.
+            let decided = catch_unwind(AssertUnwindSafe(|| {
+                decisions.next(enabled, |chosen| {
+                    let pending = inner.tasks[chosen.index()]
+                        .pending
+                        .as_ref()
+                        .expect("enabled task has a pending op");
+                    NextOp {
+                        site: pending.site(),
+                        blocking: pending.is_blocking(),
+                        fallible: pending.is_fallible(),
+                    }
+                })
+            }));
+            let (chosen, fault) = match decided {
+                Ok(decided) => decided,
                 Err(payload) => {
-                    // Scheduler failure: drain the tasks so workers are
-                    // reclaimed.
                     self.abort(&mut inner);
                     match payload.downcast::<DivergencePayload>() {
                         // Replay divergence is recoverable: surface it as
@@ -488,40 +474,7 @@ impl Execution {
                     break;
                 }
             };
-            assert!(
-                enabled.contains(&chosen),
-                "scheduler chose {chosen}, which is not enabled",
-            );
-            let pending = inner.tasks[chosen.index()]
-                .pending
-                .as_ref()
-                .expect("enabled task has a pending op");
-            let blocking = pending.is_blocking();
-            let site = pending.site();
-            let fallible = pending.is_fallible();
-            // Fault decisions belong to the same step as the scheduling
-            // decision: ask right after the pick, before the step index
-            // advances, so replay sees one aligned (choice, fault) pair.
-            let fault = fallible && {
-                let t0 = time_phases.then(Instant::now);
-                let fault = scheduler.decide_fault(FaultPoint {
-                    step_index: inner.steps,
-                    tid: chosen,
-                    site,
-                });
-                if let Some(t0) = t0 {
-                    selection_time += t0.elapsed();
-                }
-                fault
-            };
             inner.tasks[chosen.index()].fault = fault;
-            inner.trace.push(
-                TraceEntry::new(chosen, enabled, current, current_enabled, blocking)
-                    .with_site(site)
-                    .with_fault(fault),
-            );
-            inner.steps += 1;
-            inner.current = Some(chosen);
             self.baton.hand_to(Turn::Task(chosen.index()));
         }
         // Abort drain: the last task to unwind hands the turn back.
@@ -538,25 +491,19 @@ impl Execution {
             drop(inner);
             resume_unwind(payload);
         }
-        if let Some(fp) = inner.pending_fp.take() {
-            sink.visit(fp);
-        }
-        for race in inner.pending_races.drain(..) {
-            observer.race_detected(&race);
-        }
-        if time_phases {
-            // The replay wait covers everything task threads did while the
-            // controller was parked, including detector work; subtract it so
-            // the three phases partition the controller's wall-clock.
-            let detector_time = inner.detector_time;
-            observer.phase_time(Phase::Selection, selection_time);
-            observer.phase_time(Phase::RaceDetection, detector_time);
-            observer.phase_time(Phase::Replay, replay_time.saturating_sub(detector_time));
-        }
+        inner.flush(sink, observer);
+        // The replay wait covers everything task threads did while the
+        // controller was parked, including detector work; subtract it so
+        // the three phases partition the controller's wall-clock.
+        let detector_time = inner.detector_time;
+        decisions.report_phases(
+            observer,
+            detector_time,
+            replay_time.saturating_sub(detector_time),
+        );
         let outcome = inner.outcome.take().unwrap_or(ExecutionOutcome::Terminated);
-        let trace = std::mem::take(&mut inner.trace);
         drop(inner);
-        ExecutionResult::from_trace(outcome, trace)
+        decisions.finish(outcome)
     }
 
     /// Announces the next operation, parks until scheduled, then applies
@@ -639,60 +586,16 @@ impl Execution {
         }
     }
 
-    /// Registers a mutex, returning `(lock id, detector sync id)`.
-    pub(crate) fn register_lock(&self) -> (usize, usize) {
+    /// Registers a synchronization object: `new` allocates its resource
+    /// slot. Returns `(resource id, detector sync id)`.
+    pub(crate) fn register(&self, new: impl FnOnce(&mut Resources) -> usize) -> (usize, usize) {
         let mut inner = self.lock();
-        (inner.resources.new_lock(), inner.detector.new_sync_object())
-    }
-
-    /// Registers a condition variable.
-    pub(crate) fn register_condvar(&self) -> (usize, usize) {
-        let mut inner = self.lock();
-        (
-            inner.resources.new_condvar(),
-            inner.detector.new_sync_object(),
-        )
-    }
-
-    /// Registers a semaphore with an initial count.
-    pub(crate) fn register_sem(&self, count: usize) -> (usize, usize) {
-        let mut inner = self.lock();
-        (
-            inner.resources.new_sem(count),
-            inner.detector.new_sync_object(),
-        )
-    }
-
-    /// Registers an event.
-    pub(crate) fn register_event(&self, set: bool, manual: bool) -> (usize, usize) {
-        let mut inner = self.lock();
-        (
-            inner.resources.new_event(set, manual),
-            inner.detector.new_sync_object(),
-        )
+        (new(&mut inner.resources), inner.detector.new_sync_object())
     }
 
     /// Registers an atomic variable (a pure sync object).
     pub(crate) fn register_atomic(&self) -> usize {
         self.lock().detector.new_sync_object()
-    }
-
-    /// Registers a reader-writer lock.
-    pub(crate) fn register_rwlock(&self) -> (usize, usize) {
-        let mut inner = self.lock();
-        (
-            inner.resources.new_rwlock(),
-            inner.detector.new_sync_object(),
-        )
-    }
-
-    /// Registers a barrier for `parties` tasks.
-    pub(crate) fn register_barrier(&self, parties: usize) -> (usize, usize) {
-        let mut inner = self.lock();
-        (
-            inner.resources.new_barrier(parties),
-            inner.detector.new_sync_object(),
-        )
     }
 
     /// Registers a data variable for race checking.

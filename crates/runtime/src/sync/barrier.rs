@@ -51,7 +51,7 @@ impl Barrier {
     /// execution.
     pub fn new(parties: usize) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
-        let (bar_id, sync_id) = with_current(|exec, _| exec.register_barrier(parties));
+        let (bar_id, sync_id) = with_current(|exec, _| exec.register(|r| r.new_barrier(parties)));
         Barrier { bar_id, sync_id }
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::engine::with_current;
-use crate::op::PendingOp;
+use crate::op::{PendingOp, Resources};
 use crate::sync::{Mutex, MutexGuard};
 
 /// A condition variable with Win32/Rust semantics: notifications are
@@ -55,7 +55,7 @@ impl Condvar {
     ///
     /// Panics if called outside a running execution.
     pub fn new() -> Self {
-        let (cv_id, sync_id) = with_current(|exec, _| exec.register_condvar());
+        let (cv_id, sync_id) = with_current(|exec, _| exec.register(Resources::new_condvar));
         Condvar { cv_id, sync_id }
     }
 

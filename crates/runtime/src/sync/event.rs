@@ -43,7 +43,8 @@ impl Event {
     ///
     /// Panics if called outside a running execution.
     pub fn manual_reset(initially_set: bool) -> Self {
-        let (event_id, sync_id) = with_current(|exec, _| exec.register_event(initially_set, true));
+        let (event_id, sync_id) =
+            with_current(|exec, _| exec.register(|r| r.new_event(initially_set, true)));
         Event { event_id, sync_id }
     }
 
@@ -53,7 +54,8 @@ impl Event {
     ///
     /// Panics if called outside a running execution.
     pub fn auto_reset(initially_set: bool) -> Self {
-        let (event_id, sync_id) = with_current(|exec, _| exec.register_event(initially_set, false));
+        let (event_id, sync_id) =
+            with_current(|exec, _| exec.register(|r| r.new_event(initially_set, false)));
         Event { event_id, sync_id }
     }
 

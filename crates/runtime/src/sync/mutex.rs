@@ -4,7 +4,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 
 use crate::engine::{try_with_current, with_current, EffectOut};
-use crate::op::PendingOp;
+use crate::op::{PendingOp, Resources};
 
 /// A mutex whose acquisition order is controlled by the model checker.
 ///
@@ -50,7 +50,7 @@ impl<T> Mutex<T> {
     ///
     /// Panics if called outside a running execution.
     pub fn new(data: T) -> Self {
-        let (lock_id, sync_id) = with_current(|exec, _| exec.register_lock());
+        let (lock_id, sync_id) = with_current(|exec, _| exec.register(Resources::new_lock));
         Mutex {
             lock_id,
             sync_id,

@@ -11,7 +11,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 
 use crate::engine::{try_with_current, with_current};
-use crate::op::PendingOp;
+use crate::op::{PendingOp, Resources};
 
 /// A readers–writer lock under model-checker control.
 ///
@@ -58,7 +58,7 @@ impl<T> RwLock<T> {
     ///
     /// Panics if called outside a running execution.
     pub fn new(data: T) -> Self {
-        let (rw_id, sync_id) = with_current(|exec, _| exec.register_rwlock());
+        let (rw_id, sync_id) = with_current(|exec, _| exec.register(Resources::new_rwlock));
         RwLock {
             rw_id,
             sync_id,

@@ -42,7 +42,7 @@ impl Semaphore {
     ///
     /// Panics if called outside a running execution.
     pub fn new(initial: usize) -> Self {
-        let (sem_id, sync_id) = with_current(|exec, _| exec.register_sem(initial));
+        let (sem_id, sync_id) = with_current(|exec, _| exec.register(|r| r.new_sem(initial)));
         Semaphore { sem_id, sync_id }
     }
 

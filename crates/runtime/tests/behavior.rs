@@ -3,31 +3,25 @@
 //! switches.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use icb_core::search::{Search, SearchConfig, Strategy};
-use icb_core::{ControlledProgram, ExecutionOutcome, NullSink, ReplayScheduler};
+use icb_core::{
+    ControlledProgram, ExecutionOutcome, NullSink, Phase, ReplayScheduler, SchedulePoint,
+    Scheduler, SearchObserver, Tid,
+};
 use icb_runtime::sync::{AtomicUsize, Condvar, Event, Mutex, Semaphore};
 use icb_runtime::{thread, DataVar, RuntimeConfig, RuntimeProgram};
+
+mod common;
+
+use common::minimal_bug;
 
 fn exhaustive(program: &RuntimeProgram) -> icb_core::search::SearchReport {
     Search::over(program)
         .config(SearchConfig::default())
         .run()
         .unwrap()
-}
-
-fn minimal_bug(program: &RuntimeProgram, budget: usize) -> Option<icb_core::search::BugReport> {
-    Search::over(program)
-        .config(SearchConfig {
-            max_executions: Some(budget),
-            stop_on_first_bug: true,
-            ..SearchConfig::default()
-        })
-        .run()
-        .unwrap()
-        .bugs
-        .into_iter()
-        .next()
 }
 
 #[test]
@@ -611,4 +605,56 @@ fn nested_spawns_work() {
     let report = exhaustive(&program);
     assert!(report.completed);
     assert!(report.bugs.is_empty(), "bugs: {:?}", report.bugs);
+}
+
+/// Records the phase reports it asks for (when `.0`).
+struct PhaseCatcher(bool, Vec<Phase>);
+
+impl SearchObserver for PhaseCatcher {
+    fn wants_phase_timing(&self) -> bool {
+        self.0
+    }
+    fn phase_time(&mut self, phase: Phase, _elapsed: Duration) {
+        self.1.push(phase);
+    }
+}
+
+/// Runs the highest enabled thread, preempting whenever it can.
+struct Highest;
+
+impl Scheduler for Highest {
+    fn pick(&mut self, point: SchedulePoint<'_>) -> Tid {
+        *point.enabled.last().unwrap()
+    }
+}
+
+#[test]
+fn observed_execution_reports_each_phase_once_and_agrees_with_execute() {
+    let program = RuntimeProgram::new(|| {
+        let x = Arc::new(Mutex::new(0u32));
+        let x2 = Arc::clone(&x);
+        let t = thread::spawn(move || *x2.lock() += 1);
+        *x.lock() += 1;
+        t.join();
+    });
+    let schedule = program
+        .execute(&mut Highest, &mut NullSink)
+        .trace
+        .schedule();
+    let plain = program.execute(&mut ReplayScheduler::new(schedule.clone()), &mut NullSink);
+    assert_eq!(plain.outcome, ExecutionOutcome::Terminated);
+    assert!(plain.stats.preemptions > 0, "{:?}", plain.stats);
+    for wants in [true, false] {
+        let mut catcher = PhaseCatcher(wants, Vec::new());
+        let mut replay = ReplayScheduler::new(schedule.clone());
+        let observed = program.execute_observed(&mut replay, &mut NullSink, &mut catcher);
+        assert_eq!(observed.outcome, plain.outcome);
+        assert_eq!(observed.trace.schedule(), schedule);
+        assert_eq!(observed.stats, plain.stats);
+        let expected: &[Phase] = match wants {
+            true => &[Phase::Selection, Phase::RaceDetection, Phase::Replay],
+            false => &[],
+        };
+        assert_eq!(catcher.1, expected);
+    }
 }

@@ -9,19 +9,9 @@ use icb_core::ExecutionOutcome;
 use icb_runtime::sync::{Channel, Mutex};
 use icb_runtime::{thread, RuntimeProgram};
 
-fn minimal_bug(program: &RuntimeProgram, budget: usize) -> Option<icb_core::search::BugReport> {
-    Search::over(program)
-        .config(SearchConfig {
-            max_executions: Some(budget),
-            stop_on_first_bug: true,
-            ..SearchConfig::default()
-        })
-        .run()
-        .unwrap()
-        .bugs
-        .into_iter()
-        .next()
-}
+mod common;
+
+use common::minimal_bug;
 
 fn bounded(program: &RuntimeProgram, bound: usize) -> icb_core::search::SearchReport {
     let report = Search::over(program)

@@ -2,13 +2,19 @@
 //! surfaces as a recoverable outcome (not a process-killing panic), the
 //! wall-clock watchdog reclaims executions whose tasks get stuck
 //! *between* scheduling points, where `max_steps` cannot see them, and
-//! every abort wakes and drains every parked task.
+//! every abort — a failing scheduler's among them — wakes and drains
+//! every parked task.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use icb_core::search::{Search, SearchConfig};
-use icb_core::{ControlledProgram, ExecutionOutcome, NullSink, ReplayScheduler, Schedule, Tid};
+use icb_core::{
+    ControlledProgram, ExecutionOutcome, FaultPoint, NullSink, ReplayScheduler, Schedule,
+    SchedulePoint, Scheduler, Tid,
+};
 use icb_runtime::sync::{Event, Mutex, Semaphore};
 use icb_runtime::{thread, DataVar, RuntimeConfig, RuntimeProgram};
 
@@ -249,6 +255,57 @@ fn every_abort_cause_drains_eight_parked_tasks() {
             outcome,
             ExecutionOutcome::Terminated,
             "{name}: the next execution did not complete"
+        );
+    }
+}
+
+/// A user scheduler with a bug: it panics when asked for a fault
+/// decision, or (when `.0`) picks a disabled thread at step 1.
+struct Faulty(bool);
+
+impl Scheduler for Faulty {
+    fn pick(&mut self, point: SchedulePoint<'_>) -> Tid {
+        match self.0 && point.step_index == 1 {
+            true => Tid(7),
+            false => point.default_choice(),
+        }
+    }
+
+    fn decide_fault(&mut self, _point: FaultPoint) -> bool {
+        panic!("the fault policy failed");
+    }
+}
+
+/// Sets its flag when dropped: a parked task drops it only once drained.
+struct SetOnDrop(Arc<AtomicBool>);
+
+impl Drop for SetOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn scheduler_failures_drain_the_parked_task() {
+    for disabled_pick in [false, true] {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&dropped);
+        let program = RuntimeProgram::new(move || {
+            let _held = SetOnDrop(Arc::clone(&flag));
+            icb_runtime::fail_point("io");
+        });
+        let mut scheduler = Faulty(disabled_pick);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            program.execute(&mut scheduler, &mut NullSink)
+        }));
+        assert!(run.is_err(), "the scheduler's panic reaches the caller");
+        let waited = Instant::now();
+        while !dropped.load(Ordering::SeqCst) && waited.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "disabled pick {disabled_pick}: the parked task was never drained"
         );
     }
 }

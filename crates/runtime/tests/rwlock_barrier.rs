@@ -7,24 +7,14 @@ use icb_core::ExecutionOutcome;
 use icb_runtime::sync::{AtomicUsize, Barrier, RwLock};
 use icb_runtime::{thread, DataVar, RuntimeProgram};
 
+mod common;
+
+use common::minimal_bug;
+
 /// Explore every execution with at most 2 preemptions — the bound at
 /// which all of this crate's primitive-protocol bugs manifest — instead
 /// of the full space, which for the multi-round barrier programs has
 /// millions of schedules.
-fn minimal_bug(program: &RuntimeProgram, budget: usize) -> Option<icb_core::search::BugReport> {
-    Search::over(program)
-        .config(SearchConfig {
-            max_executions: Some(budget),
-            stop_on_first_bug: true,
-            ..SearchConfig::default()
-        })
-        .run()
-        .unwrap()
-        .bugs
-        .into_iter()
-        .next()
-}
-
 fn bounded(program: &RuntimeProgram) -> icb_core::search::SearchReport {
     let report = Search::over(program)
         .config(SearchConfig {

@@ -11,10 +11,11 @@
 use std::time::{Duration, Instant};
 
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, FaultPoint, NoopObserver, Phase,
-    SchedulePoint, Scheduler, SearchObserver, SiteId, StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, NoopObserver,
+    Scheduler, SearchObserver, SiteId, StateSink, Tid,
 };
 
+use crate::instr::Instr;
 use crate::model::{Model, StepError};
 
 impl ControlledProgram for Model {
@@ -37,9 +38,7 @@ impl ControlledProgram for Model {
     ) -> ExecutionResult {
         let time_phases = observer.wants_phase_timing();
         let t_start = time_phases.then(Instant::now);
-        let mut selection = Duration::ZERO;
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler).time_phases(time_phases);
         let outcome = 'run: {
             let mut state = match self.initial_state() {
                 Ok(s) => s,
@@ -60,69 +59,33 @@ impl ControlledProgram for Model {
                         }
                     };
                 }
-                if trace.len() >= self.max_steps() {
+                if decisions.steps() >= self.max_steps() {
                     break 'run ExecutionOutcome::StepLimitExceeded;
                 }
-                let current_enabled = current.is_some_and(|c| enabled.contains(&c));
-                let point = SchedulePoint {
-                    step_index: trace.len(),
-                    current,
-                    current_enabled,
-                    enabled: &enabled,
-                };
-                let chosen = {
-                    let t0 = time_phases.then(Instant::now);
-                    let chosen = scheduler.pick(point);
-                    if let Some(t0) = t0 {
-                        selection += t0.elapsed();
+                let (chosen, fault) = decisions.next(enabled, |t| {
+                    let instr = self.next_shared(&state, t);
+                    let pc = state.threads[t.index()].pc as u32;
+                    NextOp {
+                        site: instr.map_or(SiteId::UNKNOWN, |i| {
+                            SiteId::at(t.index() as u32, i.mnemonic(), pc)
+                        }),
+                        blocking: instr.is_some_and(Instr::is_blocking),
+                        fallible: instr.is_some_and(Instr::is_fallible),
                     }
-                    chosen
-                };
-                assert!(
-                    enabled.contains(&chosen),
-                    "scheduler chose disabled thread {chosen}"
-                );
-                let blocking = self.next_is_blocking(&state, chosen);
-                let site = self
-                    .next_shared(&state, chosen)
-                    .map_or(SiteId::UNKNOWN, |i| {
-                        let pc = state.threads[chosen.index()].pc as u32;
-                        SiteId::at(chosen.index() as u32, i.mnemonic(), pc)
-                    });
-                // Fault decisions share the step with the scheduling
-                // decision, so a replayed schedule realigns both.
-                let fault = self.next_is_fallible(&state, chosen) && {
-                    let t0 = time_phases.then(Instant::now);
-                    let fault = scheduler.decide_fault(FaultPoint {
-                        step_index: trace.len(),
-                        tid: chosen,
-                        site,
-                    });
-                    if let Some(t0) = t0 {
-                        selection += t0.elapsed();
-                    }
-                    fault
-                };
-                trace.push(
-                    TraceEntry::new(chosen, enabled, current, current_enabled, blocking)
-                        .with_site(site)
-                        .with_fault(fault),
-                );
-                current = Some(chosen);
+                });
                 if let Err(e) = self.step_in_place_faulted(&mut state, chosen, fault) {
                     break 'run step_error_outcome(e);
                 }
                 sink.visit(state.fingerprint());
             }
         };
-        if let Some(t_start) = t_start {
-            // The VM has no replay/race-detection machinery: everything
-            // that is not schedule selection is re-interpretation (replay).
-            observer.phase_time(Phase::Selection, selection);
-            observer.phase_time(Phase::RaceDetection, Duration::ZERO);
-            observer.phase_time(Phase::Replay, t_start.elapsed().saturating_sub(selection));
-        }
-        ExecutionResult::from_trace(outcome, trace)
+        // The VM has no replay/race-detection machinery: everything that
+        // is not schedule selection is re-interpretation (replay).
+        let replay = t_start.map_or(Duration::ZERO, |t| {
+            t.elapsed().saturating_sub(decisions.selection_time())
+        });
+        decisions.report_phases(observer, Duration::ZERO, replay);
+        decisions.finish(outcome)
     }
 }
 
@@ -138,32 +101,11 @@ mod tests {
     use super::*;
     use crate::builder::ModelBuilder;
     use icb_core::search::{Search, SearchConfig, Strategy};
+    use icb_core::Phase;
 
     #[test]
     fn searches_find_the_lost_update() {
-        // The checker "joins" both incrementers by blocking until the
-        // completion counter reaches 2. (A spin loop here would livelock
-        // under the forced-continue policy of the nested ICB search and
-        // explode the step budget — blocking waits are the VM's join
-        // idiom.)
-        let mut m = ModelBuilder::new();
-        let counter = m.global("counter", 0);
-        let finished = m.global("finished", 0);
-        for _ in 0..2 {
-            m.thread("inc", |t| {
-                let tmp = t.local();
-                t.load(counter, tmp);
-                t.store(counter, tmp + 1);
-                t.fetch_add(finished, 1, tmp);
-            });
-        }
-        m.thread("check", |t| {
-            let v = t.local();
-            t.wait_eq(finished, 2);
-            t.load(counter, v);
-            t.assert(v.eq(2), "lost update");
-        });
-        let model = m.build();
+        let model = crate::lost_update();
 
         let bug = Search::over(&model)
             .config(SearchConfig {
@@ -255,22 +197,7 @@ mod tests {
 
     #[test]
     fn deadlock_model_reports_deadlock() {
-        let mut m = ModelBuilder::new();
-        let a = m.lock("a");
-        let b = m.lock("b");
-        m.thread("t0", |t| {
-            t.acquire(a);
-            t.acquire(b);
-            t.release(b);
-            t.release(a);
-        });
-        m.thread("t1", |t| {
-            t.acquire(b);
-            t.acquire(a);
-            t.release(a);
-            t.release(b);
-        });
-        let model = m.build();
+        let model = crate::lock_order_deadlock();
         let bug = Search::over(&model)
             .config(SearchConfig {
                 max_executions: Some(100_000),

@@ -274,10 +274,6 @@ impl SearchState<'_> {
 /// The number of reachable states of `model` (plain BFS over all
 /// interleavings), the denominator for coverage percentages.
 ///
-/// Also returns the set size at each BFS depth via the second element
-/// when `return_frontier_profile` is set in future extensions; for now
-/// just the count.
-///
 /// # Panics
 ///
 /// Panics if the model's initial state cannot be constructed, or if the
@@ -376,24 +372,7 @@ mod tests {
     fn bug_bound_is_minimal() {
         // Assertion fails iff the two increments interleave (lost
         // update): requires exactly 1 preemption.
-        let mut m = ModelBuilder::new();
-        let g = m.global("g", 0);
-        let done = m.global("done", 0);
-        for _ in 0..2 {
-            m.thread("inc", |t| {
-                let tmp = t.local();
-                t.load(g, tmp);
-                t.store(g, tmp + 1);
-                t.fetch_add(done, 1, tmp);
-            });
-        }
-        m.thread("check", |t| {
-            let v = t.local();
-            t.wait_eq(done, 2);
-            t.load(g, v);
-            t.assert(v.eq(2), "lost update");
-        });
-        let model = m.build();
+        let model = crate::lost_update();
         let report = ExplicitIcb::new(ExplicitConfig {
             stop_on_first_bug: true,
             ..ExplicitConfig::default()

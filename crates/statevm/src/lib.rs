@@ -84,3 +84,53 @@ pub use explicit::{
 pub use expr::{Expr, Local};
 pub use instr::{ArrayVar, BlockPred, Global, Instr, Lock, LockArray, RmwOp};
 pub use model::{Model, StepError, ThreadCode, ThreadState, VmState};
+
+/// Two threads increment `g` with a separate load and store; a third
+/// asserts `g == 2` once both are done, so the lost update needs exactly
+/// one preemption. The checker "joins" both incrementers by blocking
+/// until the completion counter reaches 2: a spin loop would livelock
+/// under the forced-continue policy of the nested ICB search and explode
+/// the step budget, so blocking waits are the VM's join idiom.
+#[cfg(test)]
+fn lost_update() -> Model {
+    let mut m = ModelBuilder::new();
+    let g = m.global("g", 0);
+    let done = m.global("done", 0);
+    for _ in 0..2 {
+        m.thread("inc", |t| {
+            let tmp = t.local();
+            t.load(g, tmp);
+            t.store(g, tmp + 1);
+            t.fetch_add(done, 1, tmp);
+        });
+    }
+    m.thread("check", |t| {
+        let v = t.local();
+        t.wait_eq(done, 2);
+        t.load(g, v);
+        t.assert(v.eq(2), "lost update");
+    });
+    m.build()
+}
+
+/// Two threads take locks `a` and `b` in opposite orders: the classic
+/// deadlock, one preemption deep.
+#[cfg(test)]
+fn lock_order_deadlock() -> Model {
+    let mut m = ModelBuilder::new();
+    let a = m.lock("a");
+    let b = m.lock("b");
+    m.thread("t0", |t| {
+        t.acquire(a);
+        t.acquire(b);
+        t.release(b);
+        t.release(a);
+    });
+    m.thread("t1", |t| {
+        t.acquire(b);
+        t.acquire(a);
+        t.release(a);
+        t.release(b);
+    });
+    m.build()
+}

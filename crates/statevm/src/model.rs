@@ -224,13 +224,6 @@ impl Model {
         self.next_shared(state, tid).is_some_and(Instr::is_blocking)
     }
 
-    /// Is the next instruction of `tid` a designated fallible one (a
-    /// `FailPoint`)? The stateless adapter consults the scheduler's
-    /// fault decision for these steps.
-    pub fn next_is_fallible(&self, state: &VmState, tid: Tid) -> bool {
-        self.next_shared(state, tid).is_some_and(Instr::is_fallible)
-    }
-
     /// Executes one step of `tid`: its next shared instruction plus the
     /// following run of local instructions (normalization).
     ///

@@ -369,24 +369,7 @@ mod tests {
     #[test]
     fn bugs_survive_the_reduction() {
         // A lost-update assertion: the reduced search must find it too.
-        let mut m = ModelBuilder::new();
-        let g = m.global("g", 0);
-        let done = m.global("done", 0);
-        for _ in 0..2 {
-            m.thread("inc", |t| {
-                let tmp = t.local();
-                t.load(g, tmp);
-                t.store(g, tmp + 1);
-                t.fetch_add(done, 1, tmp);
-            });
-        }
-        m.thread("check", |t| {
-            let v = t.local();
-            t.wait_eq(done, 2);
-            t.load(g, v);
-            t.assert(v.eq(2), "lost update");
-        });
-        let model = m.build();
+        let model = crate::lost_update();
         let plain = sleep_set_dfs(
             &model,
             &PorConfig {
@@ -402,22 +385,7 @@ mod tests {
 
     #[test]
     fn deadlocks_survive_the_reduction() {
-        let mut m = ModelBuilder::new();
-        let a = m.lock("a");
-        let b = m.lock("b");
-        m.thread("t0", |t| {
-            t.acquire(a);
-            t.acquire(b);
-            t.release(b);
-            t.release(a);
-        });
-        m.thread("t1", |t| {
-            t.acquire(b);
-            t.acquire(a);
-            t.release(a);
-            t.release(b);
-        });
-        let model = m.build();
+        let model = crate::lock_order_deadlock();
         let reduced = sleep_set_dfs(&model, &PorConfig::default());
         assert!(!reduced.deadlocks.is_empty());
     }

@@ -6,10 +6,6 @@
 //! is all a Prometheus scraper (or `explore top`, or `curl`) needs, and
 //! it keeps the run's hot path completely untouched — the only cost of
 //! serving metrics is the scrape itself, which reads relaxed atomics.
-//!
-//! This module is the seed of a future `icb-server`: anything that wants
-//! to expose more endpoints can grow the request match in
-//! [`MetricsServer::start`].
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

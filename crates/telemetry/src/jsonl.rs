@@ -506,65 +506,58 @@ mod tests {
         assert!(lines[2].contains("\"elapsed_ns\":7"));
     }
 
+    /// Shares its buffer so we can observe what reached the "file" even
+    /// while the sink (and its BufWriter) are still alive.
+    #[derive(Clone, Default)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    /// A sink writing through a 64 KiB buffer into a [`Shared`] store.
+    fn buffered() -> (Shared, JsonlSink<std::io::BufWriter<Shared>>) {
+        let buf = Shared::default();
+        let writer = std::io::BufWriter::with_capacity(64 * 1024, buf.clone());
+        (buf, JsonlSink::new(writer))
+    }
+
     #[test]
     fn abort_flushes_through_a_buffered_writer() {
-        use std::io::BufWriter;
-        use std::sync::{Arc, Mutex};
-
-        /// Shares its buffer so we can observe what reached the "file"
-        /// even while the sink (and its BufWriter) are still alive.
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
-        let mut sink = JsonlSink::new(BufWriter::with_capacity(64 * 1024, buf.clone()));
+        let (buf, mut sink) = buffered();
         sink.search_started("icb");
         sink.execution_started(1);
         // Only the flushed search-started line has reached the backing
         // store (64 KiB buffer).
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         assert_eq!(text.lines().count(), 1, "{text:?}");
         sink.search_aborted(AbortReason::FirstBug);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         assert!(text.lines().count() == 3, "abort must flush: {text:?}");
         assert!(text.contains("\"event\":\"search-aborted\""));
     }
 
     #[test]
     fn drop_flushes_a_killed_run() {
-        use std::io::BufWriter;
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
-        {
-            let mut sink = JsonlSink::new(BufWriter::with_capacity(64 * 1024, buf.clone()));
-            sink.search_started("icb");
-            sink.execution_started(1);
-            // Simulated kill mid-run: the sink is dropped without ever
-            // seeing search_finished or search_aborted.
-        }
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let (buf, mut sink) = buffered();
+        sink.search_started("icb");
+        sink.execution_started(1);
+        // Simulated kill mid-run: the sink is dropped without ever
+        // seeing search_finished or search_aborted.
+        drop(sink);
+        let text = buf.text();
         assert_eq!(text.lines().count(), 2, "drop must flush: {text:?}");
         assert!(text.contains("\"event\":\"execution-started\""));
     }
@@ -602,31 +595,15 @@ mod tests {
 
     #[test]
     fn checkpoint_written_flushes_the_stream() {
-        use std::io::BufWriter;
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
-        let mut sink = JsonlSink::new(BufWriter::with_capacity(64 * 1024, buf.clone()));
+        let (buf, mut sink) = buffered();
         sink.search_started("icb");
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         assert!(
             text.contains("\"event\":\"search-started\""),
             "a log whose checkpoint is on disk must name its search: {text:?}"
         );
         sink.checkpoint_written(10);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         assert!(
             text.contains("\"event\":\"checkpoint-written\""),
             "the log must cover at least as much as the snapshot: {text:?}"

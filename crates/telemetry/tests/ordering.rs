@@ -4,8 +4,8 @@
 
 use icb_core::search::{Search, SearchConfig, Strategy};
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler, SiteId,
-    StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, Scheduler, SiteId,
+    StateSink, Tid,
 };
 use icb_telemetry::{Event, EventLog, MultiObserver};
 
@@ -19,28 +19,19 @@ struct TwoByTwo {
 impl ControlledProgram for TwoByTwo {
     fn execute(&self, scheduler: &mut dyn Scheduler, _sink: &mut dyn StateSink) -> ExecutionResult {
         let mut left = [2usize, 2];
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler);
         let mut first: Option<Tid> = None;
         loop {
             let enabled: Vec<Tid> = (0..2).filter(|&i| left[i] > 0).map(Tid).collect();
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|c| left[c.index()] > 0);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
+            let (chosen, _) = decisions.next(enabled, |t| NextOp {
+                site: SiteId::at(t.index() as u32, "step", left[t.index()] as u32),
+                ..NextOp::default()
             });
-            let site = SiteId::at(chosen.index() as u32, "step", left[chosen.index()] as u32);
-            trace.push(
-                TraceEntry::new(chosen, enabled, current, current_enabled, false).with_site(site),
-            );
             left[chosen.index()] -= 1;
             first.get_or_insert(chosen);
-            current = Some(chosen);
         }
         let outcome = if self.buggy && first == Some(Tid(1)) {
             ExecutionOutcome::AssertionFailure {
@@ -50,7 +41,7 @@ impl ControlledProgram for TwoByTwo {
         } else {
             ExecutionOutcome::Terminated
         };
-        ExecutionResult::from_trace(outcome, trace)
+        decisions.finish(outcome)
     }
 }
 
@@ -297,8 +288,7 @@ impl ControlledProgram for Pinned {
         let mut pc = [0usize; THREADS];
         let mut lock: Option<usize> = None;
         let mut counter = 0u32;
-        let mut trace = Trace::new();
-        let mut current: Option<Tid> = None;
+        let mut decisions = Decisions::new(scheduler);
         let mut failure = None;
         loop {
             let enabled: Vec<Tid> = (0..THREADS)
@@ -308,25 +298,19 @@ impl ControlledProgram for Pinned {
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|c| enabled.contains(&c));
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
+            let (chosen, fault) = decisions.next(enabled, |t| {
+                let pc = pc[t.index()];
+                let class = ["acquire", "incr", "release", "check"][pc];
+                NextOp {
+                    site: SiteId::at(t.index() as u32, class, pc as u32),
+                    blocking: pc == 0,
+                    fallible: pc == 1,
+                }
             });
             let t = chosen.index();
-            let class = ["acquire", "incr", "release", "check"][pc[t]];
-            let site = SiteId::at(t as u32, class, pc[t] as u32);
-            let mut fault = false;
             match pc[t] {
                 0 => lock = Some(t),
                 1 => {
-                    fault = scheduler.decide_fault(icb_core::FaultPoint {
-                        step_index: trace.len(),
-                        tid: chosen,
-                        site,
-                    });
                     if !fault {
                         counter += 1;
                     }
@@ -338,13 +322,7 @@ impl ControlledProgram for Pinned {
                     }
                 }
             }
-            trace.push(
-                TraceEntry::new(chosen, enabled, current, current_enabled, pc[t] == 0)
-                    .with_site(site)
-                    .with_fault(fault),
-            );
             pc[t] += 1;
-            current = Some(chosen);
             let mut bytes = vec![lock.map_or(9, |l| l as u8), counter as u8];
             bytes.extend(pc.iter().map(|&p| p as u8));
             sink.visit(icb_core::coverage::fingerprint_bytes(&bytes));
@@ -359,7 +337,7 @@ impl ControlledProgram for Pinned {
             },
             None => ExecutionOutcome::Terminated,
         };
-        ExecutionResult::from_trace(outcome, trace)
+        decisions.finish(outcome)
     }
 
     fn fingerprints_are_exact(&self) -> bool {

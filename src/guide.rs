@@ -108,6 +108,17 @@ pub mod testing_programs {}
 /// [`ControlledProgram`](crate::core::ControlledProgram), so every
 /// stateless strategy (and the coverage figures machinery) runs on them
 /// unchanged.
+///
+/// A program of your own joins them the same way. Its `execute` is a
+/// step loop: compute the enabled threads, pass them to one
+/// [`Decisions`](crate::core::Decisions) recorder together with what the
+/// chosen thread does next (a [`NextOp`](crate::core::NextOp): its
+/// site, whether it may block, whether it may fail), apply that step —
+/// failing it when the recorder says a fault was injected — and end with
+/// [`Decisions::finish`](crate::core::Decisions::finish). The recorder
+/// asks the scheduler and writes the trace; the VM and the runtime do
+/// nothing more. The crate-level example of [`icb::core`](crate::core)
+/// is a complete host.
 pub mod writing_models {}
 
 /// # Chapter 3 — Reading a report

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use icb::core::search::{Search, SearchConfig, Strategy};
 use icb::core::{
-    ControlledProgram, ExecStats, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler,
-    StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, Scheduler, StateSink,
+    Tid,
 };
 use icb::workloads::registry::all_benchmarks;
 
@@ -175,39 +175,20 @@ struct FlipFlop {
 impl ControlledProgram for FlipFlop {
     fn execute(&self, scheduler: &mut dyn Scheduler, _sink: &mut dyn StateSink) -> ExecutionResult {
         let run = self.runs.fetch_add(1, Ordering::Relaxed);
-        let mut trace = Trace::new();
+        let mut decisions = Decisions::new(scheduler);
         // Thread count flips between runs: any schedule recorded on one
         // run diverges on the next.
         let threads = if run.is_multiple_of(2) { 2 } else { 1 };
         let mut done = vec![false; threads];
-        let mut current: Option<Tid> = None;
         loop {
             let enabled: Vec<Tid> = (0..threads).filter(|&i| !done[i]).map(Tid).collect();
             if enabled.is_empty() {
                 break;
             }
-            let current_enabled = current.is_some_and(|c| !done[c.index()]);
-            let chosen = scheduler.pick(SchedulePoint {
-                step_index: trace.len(),
-                current,
-                current_enabled,
-                enabled: &enabled,
-            });
-            trace.push(TraceEntry::new(
-                chosen,
-                enabled,
-                current,
-                current_enabled,
-                false,
-            ));
+            let (chosen, _) = decisions.next(enabled, |_| NextOp::default());
             done[chosen.index()] = true;
-            current = Some(chosen);
         }
-        ExecutionResult {
-            outcome: ExecutionOutcome::Terminated,
-            stats: ExecStats::from_trace(&trace),
-            trace,
-        }
+        decisions.finish(ExecutionOutcome::Terminated)
     }
 }
 
