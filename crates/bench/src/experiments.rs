@@ -21,6 +21,7 @@ fn our_loc(name: &str) -> usize {
         "Transaction Manager" => include_str!("../../workloads/src/txnmgr.rs"),
         "APE" => include_str!("../../workloads/src/ape.rs"),
         "Dryad Channels" => include_str!("../../workloads/src/dryad.rs"),
+        "Fault Injection" => include_str!("../../workloads/src/faultinj.rs"),
         _ => "",
     };
     src.lines().count()
@@ -49,9 +50,14 @@ pub fn table1() {
             .config(SearchConfig::with_max_executions(3_000))
             .run()
             .expect("valid configuration");
+        // A workload the paper does not have has no paper LOC.
+        let paper_loc = match bench.paper_loc {
+            0 => "—".to_string(),
+            loc => loc.to_string(),
+        };
         row(&[
             bench.name.to_string(),
-            bench.paper_loc.to_string(),
+            paper_loc,
             our_loc(bench.name).to_string(),
             bench.paper_threads.to_string(),
             report.max_stats.steps.to_string(),
@@ -61,15 +67,16 @@ pub fn table1() {
     }
 }
 
-/// Table 2: for every seeded bug, the minimal preemption bound at which
-/// iterative context bounding exposes it.
+/// Table 2: for every seeded bug, the minimal `(preemptions, faults)`
+/// at which iterative context bounding exposes it. Each bug is searched
+/// at its own fault bound, so a fault-dependent bug can be found.
 pub fn table2() {
     banner("Table 2 — bugs by context bound");
     let benches = all_benchmarks();
 
     println!("Per-bug minimal bounds (measured by ICB):");
     println!();
-    header(&["Program", "Bug", "Minimal bound", "Outcome"]);
+    header(&["Program", "Bug", "Minimal bound", "Faults", "Outcome"]);
     let mut matrix: Vec<(String, [usize; 4])> = Vec::new();
     for bench in &benches {
         if bench.bugs.is_empty() {
@@ -78,34 +85,40 @@ pub fn table2() {
         let mut counts = [0usize; 4];
         for bug in &bench.bugs {
             let program = (bug.build)();
-            let found = Search::over(&program)
+            let report = Search::over(&program)
                 .config(SearchConfig {
                     max_executions: Some(500_000),
                     stop_on_first_bug: true,
+                    fault_bound: bug.expected_faults,
                     ..SearchConfig::default()
                 })
                 .run()
-                .expect("valid configuration")
-                .bugs
-                .into_iter()
-                .next();
-            match found {
-                Some(report) => {
-                    counts[report.preemptions.min(3)] += 1;
-                    row(&[
-                        bench.name.to_string(),
-                        bug.name.to_string(),
-                        report.preemptions.to_string(),
-                        format!("{}", report.outcome),
-                    ]);
+                .expect("valid configuration");
+            let (bound, faults, outcome) = match report.first_bug() {
+                Some(found) => {
+                    counts[found.preemptions.min(3)] += 1;
+                    (
+                        found.preemptions.to_string(),
+                        found.faults.to_string(),
+                        found.outcome.to_string(),
+                    )
                 }
-                None => row(&[
-                    bench.name.to_string(),
-                    bug.name.to_string(),
-                    "not found (budget)".to_string(),
-                    String::new(),
-                ]),
-            }
+                None => {
+                    let why = if report.completed {
+                        "not found (search completed)"
+                    } else {
+                        "not found (budget)"
+                    };
+                    (why.to_string(), String::new(), String::new())
+                }
+            };
+            row(&[
+                bench.name.to_string(),
+                bug.name.to_string(),
+                bound,
+                faults,
+                outcome,
+            ]);
         }
         matrix.push((bench.name.to_string(), counts));
     }

@@ -239,6 +239,22 @@ impl<'o> Ledger<'o> {
         if self.remaining_budget() == 0 {
             self.halt(AbortReason::ExecutionBudget);
         }
+        // Nor may a snapshot written where a first-bug search stopped
+        // search on. A canonical ICB search stops only at the barrier of
+        // the level that found its bug: a checkpoint written earlier in
+        // that level must still finish it, or the minimal witness is
+        // lost.
+        let level_closed = self
+            .bound_history
+            .last()
+            .is_some_and(|b| (b.bound, b.faults) == (self.bound, self.fault));
+        let stops_at_barrier = self.canonical && self.levelled;
+        if self.config.stop_on_first_bug
+            && self.buggy_executions > 0
+            && (!stops_at_barrier || level_closed)
+        {
+            self.halt(AbortReason::FirstBug);
+        }
         state
     }
 

@@ -14,10 +14,11 @@ use std::path::{Path, PathBuf};
 use icb_core::search::{Search, SearchConfig, SearchReport, Strategy};
 use icb_core::snapshot::{Checkpointer, SearchSnapshot, StrategyState};
 use icb_core::telemetry::SearchObserver;
+use icb_core::ControlledProgram;
 
 mod common;
 
-use common::Counters;
+use common::{Counters, FaultyCounters};
 
 /// Observer that snapshots the live checkpoint file aside after its
 /// `at`-th write — freezing the exact state a crash at that moment would
@@ -489,4 +490,108 @@ fn random_checkpoints_resume_across_job_counts() {
         let resumed = resume_across_jobs(&program, strategy, &config, jobs);
         assert_same_exploration(&resumed, &reference);
     }
+}
+
+/// Runs a first-bug search at `jobs` to its stop with a checkpoint
+/// written after every execution, and returns the report and the final
+/// snapshot the stop left.
+fn stopped_first_bug_search(
+    program: &(dyn ControlledProgram + Sync),
+    strategy: Strategy,
+    config: &SearchConfig,
+    jobs: usize,
+    tag: &str,
+) -> (SearchReport, SearchSnapshot) {
+    let dir = TempDir::new(&format!("first-bug-{tag}-{jobs}"));
+    let live = dir.path("live.ck");
+    let report = Search::over(program)
+        .strategy(strategy)
+        .config(config.clone())
+        .jobs(jobs)
+        .checkpoint(Checkpointer::new(&live, 1))
+        .run()
+        .unwrap();
+    assert!(
+        !report.bugs.is_empty() && !report.completed,
+        "{tag}: {report}"
+    );
+    let snapshot = SearchSnapshot::read_from(&live).expect("a stopped run leaves its snapshot");
+    (report, snapshot)
+}
+
+/// A first-bug search that stopped leaves a final checkpoint; resuming
+/// it must report the stopped search, not search on for more bugs.
+#[test]
+fn a_stopped_first_bug_search_resumes_to_the_same_report() {
+    let counters = Counters {
+        n: 3,
+        k: 3,
+        bug: Some((1, 1, 3)),
+    };
+    let faulty = FaultyCounters { n: 2, k: 3 };
+    let cases: [(&str, &(dyn ControlledProgram + Sync), Strategy, usize); 3] = [
+        ("icb", &counters, Strategy::Icb, 0),
+        ("dfs", &counters, Strategy::Dfs, 0),
+        ("fault", &faulty, Strategy::Icb, 1),
+    ];
+    for (tag, program, strategy, fault_bound) in cases {
+        let config = SearchConfig {
+            fault_bound,
+            ..SearchConfig::bug_hunt()
+        };
+        // At jobs 2 ICB stops at the barrier of the level that found
+        // the bug, and that is where its final snapshot is written.
+        for jobs in [1, 2] {
+            let (stopped, snapshot) =
+                stopped_first_bug_search(program, strategy, &config, jobs, tag);
+            let resumed = Search::over(program)
+                .resume_from(snapshot)
+                .jobs(jobs)
+                .run()
+                .unwrap();
+            assert_reports_identical(&resumed, &stopped);
+            assert_eq!(
+                resumed.to_string(),
+                stopped.to_string(),
+                "{tag} at jobs {jobs}"
+            );
+        }
+    }
+}
+
+/// A checkpoint written mid-level after a bug was found, resumed by a
+/// canonical (`jobs ≥ 2`) ICB search, still finishes that level: the
+/// search stops at the level's barrier, as an uninterrupted one does.
+#[test]
+fn a_canonical_icb_resume_finishes_the_level_of_the_bug() {
+    let program = Counters {
+        n: 3,
+        k: 3,
+        bug: Some((1, 1, 3)),
+    };
+    let config = SearchConfig::bug_hunt();
+    // A jobs-1 search stops at once on its first bug, mid-level.
+    let (stopped, snapshot) = stopped_first_bug_search(&program, Strategy::Icb, &config, 1, "mid");
+    let StrategyState::Icb(state) = &snapshot.state else {
+        panic!("an ICB snapshot");
+    };
+    let last_closed = state.bound_history.last().map(|b| (b.bound, b.faults));
+    assert_ne!(
+        last_closed,
+        Some((state.bound, state.fault)),
+        "the level is open"
+    );
+    let reference = Search::over(&program)
+        .config(config.clone())
+        .jobs(2)
+        .run()
+        .unwrap();
+    let resumed = Search::over(&program)
+        .resume_from(snapshot)
+        .jobs(2)
+        .run()
+        .unwrap();
+    assert!(resumed.executions > stopped.executions, "the level ran on");
+    assert_same_exploration(&resumed, &reference);
+    assert_eq!(resumed.bound_history, reference.bound_history);
 }

@@ -1,20 +1,25 @@
 //! The execution engine: cooperative single-step scheduling of real OS
 //! threads under a model-checker-controlled baton.
 //!
-//! Exactly one thread of the program under test runs at any moment. Each
-//! task announces the synchronization operation it is about to perform
-//! and parks; the *controller* (the thread that called
-//! [`ControlledProgram::execute`](icb_core::ControlledProgram)) computes
-//! the enabled set, records the search's [`Scheduler`] decision through
-//! one [`Decisions`] step, and hands the baton to the chosen task. The
-//! task applies the operation's effect, runs user code up to its next
-//! synchronization operation, and returns the baton.
+//! Exactly one thread of the program under test runs at any moment: the
+//! baton holder. A task that reaches a synchronization operation
+//! announces it and makes the next step's decision itself, under the
+//! execution mutex: it computes the enabled set and records the search's
+//! [`Scheduler`] decision through one [`Decisions`] step. If it picks
+//! itself, it applies the operation's effect and runs on, with no
+//! handoff; otherwise it hands the baton straight to the chosen task and
+//! parks. There is no controller thread: the caller of
+//! [`ControlledProgram::execute`](icb_core::ControlledProgram) makes the
+//! first decision, launches the root task, and parks at once until the
+//! execution ends or its watchdog deadline passes.
 //!
 //! Aborts (assertion failure, data race, deadlock, step limit, a failing
 //! scheduler) unwind all parked tasks cooperatively via a private panic
 //! payload, so worker threads are always reclaimed.
 
-use std::cell::RefCell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
@@ -34,51 +39,69 @@ use crate::pool;
 /// Whose turn it is to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Turn {
-    Controller,
+    /// The thread that called [`Execution::run`]: its turn comes back
+    /// once the execution is over.
+    Caller,
     Task(usize),
 }
 
-/// The controller's value of the turn word; task `i`'s is `i`.
-const CONTROLLER: usize = usize::MAX;
+/// The caller's value of the turn word; task `i`'s is `i`.
+const CALLER: usize = usize::MAX;
 /// The turn word after an abort: every task may run, so each parked
 /// task unwinds.
 const ALL: usize = usize::MAX - 1;
 
-/// Polls of the turn word before a waiter parks, with a yield of the
-/// processor between polls. A step of the program under test takes a
-/// few microseconds, so most handoffs land inside the polling and cost
-/// no futex sleep, and the processor never idles between two steps.
-/// Yielding rather than busy-spinning leaves the processor to the
-/// holder whenever waiters outnumber cores (one core, or two workers at
-/// `--jobs 2` on two). The bound, about a millisecond, keeps a waiter
-/// whose peer is stuck from polling far longer than any step.
-const POLL_ROUNDS: u32 = 2048;
-
-/// The direct handoff between the controller and the tasks.
+/// The direct handoff from the baton holder to the next one.
 ///
-/// An atomic turn word names who may run: the controller, one task, or
-/// — after [`wake_all`](Baton::wake_all) — every task, so that each
-/// parked task unwinds. [`hand_to`](Baton::hand_to) stores the word and
-/// wakes only the next holder; [`wait_for`](Baton::wait_for) polls the
-/// word [`POLL_ROUNDS`] times, then parks the calling thread.
+/// An atomic turn word names who may run: one task, the caller of
+/// [`Execution::run`] once the execution is over, or — after
+/// [`wake_all`](Baton::wake_all) — every task, so that each parked task
+/// unwinds. [`hand_to`](Baton::hand_to) stores the word and wakes only
+/// the next holder; [`wait_for`](Baton::wait_for) parks the calling
+/// thread until the word names it. Nobody polls: the holder makes each
+/// decision itself, so a waiter has nothing to do until it is handed the
+/// turn, and an idle processor is left to the holder.
 ///
 /// Callers mutate the word only while holding the execution mutex, which
 /// orders each handoff after the state it publishes and makes "the last
 /// unwinding task hands the turn back" race-free. Waiting takes no lock.
+///
+/// # The lent search state
+///
+/// To decide on a task thread, the holder needs the caller's scheduler
+/// (inside its [`Decisions`] recorder), sink and observer. `run` lends
+/// them in one [`Host`], its borrow lifetime erased, kept in
+/// [`ExecInner`] next to the slot for a scheduler panic. That is sound
+/// because:
+///
+/// * only the baton holder dereferences them, and only under the
+///   execution mutex, so no two threads touch them at once and each
+///   access is ordered after the previous one;
+/// * the caller takes the host back out before `run` returns, so no
+///   access outlives the borrow;
+/// * a task the watchdog abandoned checks `abort` under the mutex before
+///   it can reach [`Execution::schedule`], and the caller sets `abort`
+///   before it takes the host back;
+/// * the calling thread, the only one that can hold state they share
+///   with other values (an `Rc` clone, say), stays parked in `run` while
+///   a task uses them, and drops them itself.
+///
+/// So a decision runs on the deciding task's thread: a scheduler, sink
+/// or observer that keeps thread-local state sees that thread's.
 #[derive(Debug)]
 struct Baton {
     turn: AtomicUsize,
     /// The thread of each participant that has parked: slot 0 is the
-    /// controller, slot `i + 1` task `i`. A handoff reads the slot under
+    /// caller, slot `i + 1` task `i`. A handoff reads the slot under
     /// this lock after storing the word, and a waiter fills its slot
-    /// under it before its last poll, so no wake-up is lost.
+    /// under it before it first parks, so no wake-up is lost.
     parked: StdMutex<Vec<Option<Thread>>>,
 }
 
 impl Baton {
     fn new() -> Self {
         Baton {
-            turn: AtomicUsize::new(CONTROLLER),
+            turn: AtomicUsize::new(CALLER),
             parked: StdMutex::new(Vec::new()),
         }
     }
@@ -89,21 +112,21 @@ impl Baton {
 
     fn word(who: Turn) -> usize {
         match who {
-            Turn::Controller => CONTROLLER,
+            Turn::Caller => CALLER,
             Turn::Task(i) => i,
         }
     }
 
     fn slot(who: Turn) -> usize {
         match who {
-            Turn::Controller => 0,
+            Turn::Caller => 0,
             Turn::Task(i) => i + 1,
         }
     }
 
     /// Gives the turn to `who`, waking its thread if it is parked.
     fn hand_to(&self, who: Turn) {
-        // Release pairs with the Acquire poll in `wait_for`.
+        // Release pairs with the Acquire load in `wait_for`.
         self.turn.store(Self::word(who), Ordering::Release);
         if let Some(Some(thread)) = self.slots().get(Self::slot(who)) {
             thread.unpark();
@@ -118,23 +141,17 @@ impl Baton {
         }
     }
 
-    /// Blocks until it is `who`'s turn (for a task, also after
+    /// Parks until it is `who`'s turn (for a task, also after
     /// [`wake_all`](Baton::wake_all)). Returns `false` if `deadline`
     /// passes first.
     fn wait_for(&self, who: Turn, deadline: Option<Instant>) -> bool {
         let word = Self::word(who);
-        let ready = |turn: usize| turn == word || (turn == ALL && who != Turn::Controller);
-        for _ in 0..POLL_ROUNDS {
+        let ready = || {
             let turn = self.turn.load(Ordering::Acquire);
-            if ready(turn) {
-                return true;
-            }
-            // A task passed over for another task waits at least a whole
-            // step: park now and leave the processor to the holder.
-            if who != Turn::Controller && turn != CONTROLLER {
-                break;
-            }
-            std::thread::yield_now();
+            turn == word || (turn == ALL && who != Turn::Caller)
+        };
+        if ready() {
+            return true;
         }
         {
             let mut slots = self.slots();
@@ -145,9 +162,9 @@ impl Baton {
             slots[slot].get_or_insert_with(std::thread::current);
         }
         // A stale unpark (from an earlier execution on this pooled
-        // thread) only costs one more poll.
+        // thread) only costs one more check.
         loop {
-            if ready(self.turn.load(Ordering::Acquire)) {
+            if ready() {
                 return true;
             }
             match deadline {
@@ -171,11 +188,11 @@ fn panic_abort() -> ! {
     std::panic::panic_any(AbortPayload)
 }
 
-fn is_abort(payload: &(dyn std::any::Any + Send)) -> bool {
+fn is_abort(payload: &(dyn Any + Send)) -> bool {
     payload.is::<AbortPayload>()
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn payload_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -204,9 +221,57 @@ struct TaskEntry {
     finished: bool,
     pending: Option<PendingOp>,
     /// Whether the scheduler injected a fault into the pending operation
-    /// (set by the controller alongside the baton hand-over, consumed by
-    /// [`apply_effect`]).
+    /// (set by the deciding holder alongside the baton hand-over,
+    /// consumed by [`apply_effect`]).
     fault: bool,
+}
+
+/// What the caller of [`Execution::run`] lends the baton holder for one
+/// execution; [`Baton`] states why it may cross threads.
+struct Host<'s> {
+    decisions: Decisions<'s>,
+    sink: &'s mut dyn StateSink,
+    observer: &'s mut dyn SearchObserver,
+    /// A scheduler panic other than a replay divergence, re-raised by
+    /// the caller once the tasks are drained.
+    scheduler_panic: Option<Box<dyn Any + Send>>,
+}
+
+// SAFETY: `decisions` (with the scheduler it borrows), `sink` and
+// `observer` are used only by the baton holder, under the execution
+// mutex, within the caller's borrow, while the caller's thread is parked
+// (see `Baton`); no two threads ever use them at once. `scheduler_panic`
+// is `Send` already.
+unsafe impl Send for Host<'_> {}
+
+const LENT: &str = "only a baton holder inside `run` reaches the host";
+
+impl Host<'static> {
+    /// Lends the caller's search state to the execution's baton holders.
+    fn lend<'s>(
+        decisions: Decisions<'s>,
+        sink: &'s mut dyn StateSink,
+        observer: &'s mut dyn SearchObserver,
+    ) -> Self {
+        let host = Host {
+            decisions,
+            sink,
+            observer,
+            scheduler_panic: None,
+        };
+        // SAFETY: only the lifetime changes. `run` takes the host back
+        // before the borrow ends, and no task reaches it after `abort`
+        // (see `Baton`).
+        unsafe { std::mem::transmute::<Host<'s>, Host<'static>>(host) }
+    }
+}
+
+impl fmt::Debug for Host<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Host")
+            .field("decisions", &self.decisions)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug)]
@@ -219,9 +284,11 @@ pub(crate) struct ExecInner {
     pub(crate) detector: RaceDetector,
     fingerprint: HbFingerprint,
     pending_fp: Option<u64>,
-    /// Race descriptions queued by task threads for the controller to
-    /// forward to the observer (tasks cannot reach the `&mut` observer).
+    /// Race descriptions queued by `data_access` for the next decision
+    /// to forward to the observer.
     pending_races: Vec<String>,
+    /// The caller's search state while `run` lends it.
+    host: Option<Host<'static>>,
     /// Whether the observer asked for wall-clock phase attribution.
     time_phases: bool,
     /// Wall-clock spent inside the race detector, accrued under the
@@ -230,13 +297,20 @@ pub(crate) struct ExecInner {
 }
 
 impl ExecInner {
+    fn host(&mut self) -> &mut Host<'static> {
+        self.host.as_mut().expect(LENT)
+    }
+
     /// Forwards what task threads queued for the sink and the observer.
-    fn flush(&mut self, sink: &mut dyn StateSink, observer: &mut dyn SearchObserver) {
-        if let Some(fp) = self.pending_fp.take() {
-            sink.visit(fp);
+    fn flush(&mut self) {
+        let fp = self.pending_fp.take();
+        let races = std::mem::take(&mut self.pending_races);
+        let host = self.host();
+        if let Some(fp) = fp {
+            host.sink.visit(fp);
         }
-        for race in self.pending_races.drain(..) {
-            observer.race_detected(&race);
+        for race in races {
+            host.observer.race_detected(&race);
         }
     }
 
@@ -264,11 +338,14 @@ pub(crate) struct Execution {
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Execution>, Tid)>> = const { RefCell::new(None) };
+    /// Set while a task thread runs the search's scheduler: a panic
+    /// there is the search's, not the program's, and keeps its report.
+    static DECIDING: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Task panics are expected (they are how assertion failures surface and
 /// how aborts unwind); suppress their default backtrace spew while
-/// leaving panics of non-task threads untouched.
+/// leaving panics of non-task threads, and of the scheduler, untouched.
 fn install_panic_hook() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -276,7 +353,7 @@ fn install_panic_hook() {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let in_task = CURRENT.with(|c| c.borrow().is_some());
-            if !in_task {
+            if !in_task || DECIDING.get() {
                 previous(info);
             }
         }));
@@ -322,6 +399,7 @@ impl Execution {
                 fingerprint: HbFingerprint::new(),
                 pending_fp: None,
                 pending_races: Vec::new(),
+                host: None,
                 time_phases: false,
                 detector_time: Duration::ZERO,
             }),
@@ -343,9 +421,9 @@ impl Execution {
         }
     }
 
-    /// Launches the root task, then runs the controller loop to
-    /// completion: repeatedly compute the enabled set, record the
-    /// scheduler's decision, and hand the baton over.
+    /// Runs one execution: lends the search state to the baton holders,
+    /// makes the first decision, launches the root task, and parks until
+    /// the last task hands the turn back or the watchdog expires.
     pub(crate) fn run(
         self: &Arc<Self>,
         body: Box<dyn FnOnce() + Send + 'static>,
@@ -355,6 +433,12 @@ impl Execution {
     ) -> ExecutionResult {
         install_panic_hook();
         let time_phases = observer.wants_phase_timing();
+        let started = time_phases.then(Instant::now);
+        let deadline = self
+            .config
+            .max_wall_time
+            .map(|budget| Instant::now() + budget);
+        let decisions = Decisions::new(scheduler).time_phases(time_phases);
         let mut inner = self.lock();
         inner.tasks.push(TaskEntry {
             finished: false,
@@ -363,151 +447,162 @@ impl Execution {
         });
         inner.alive = 1;
         inner.time_phases = time_phases;
+        inner.host = Some(Host::lend(decisions, sink, observer));
+        self.hand_on(&mut inner);
         let exec = Arc::clone(self);
         pool::run_on_worker(Box::new(move || task_main(exec, Tid::MAIN, body)));
-        let max_steps = self.config.max_steps;
-        let deadline = self
-            .config
-            .max_wall_time
-            .map(|budget| Instant::now() + budget);
-        let mut decisions = Decisions::new(scheduler).time_phases(time_phases);
-        let mut replay_time = Duration::ZERO;
-        // A scheduler panic other than a replay divergence, re-raised
-        // once the tasks are drained.
-        let mut scheduler_panic = None;
-        loop {
-            let t0 = time_phases.then(Instant::now);
-            drop(inner);
-            let on_time = self.baton.wait_for(Turn::Controller, deadline);
-            inner = self.lock();
-            if let Some(t0) = t0 {
-                replay_time += t0.elapsed();
-            }
-            if !on_time {
-                // Watchdog expiry: the baton holder is stuck *between*
-                // scheduling points (uninstrumented loop, blocking call),
-                // where max_steps cannot see it. Abandon the task — mark
-                // it finished so the abort drain below doesn't wait for
-                // it; if it ever wakes it unwinds via the abort flag, and
-                // handle_task_panic's finished-guard skips the recount.
-                if let Some(holder) = decisions.current() {
-                    if !inner.tasks[holder.index()].finished {
-                        inner.tasks[holder.index()].finished = true;
-                        inner.alive -= 1;
-                    }
+        drop(inner);
+        let on_time = self.baton.wait_for(Turn::Caller, deadline);
+        let mut inner = self.lock();
+        if !on_time && inner.alive > 0 {
+            // Watchdog expiry: the baton holder is stuck *between*
+            // scheduling points (uninstrumented loop, blocking call),
+            // where max_steps cannot see it. Abandon the task — mark
+            // it finished so the abort drain below doesn't wait for
+            // it; if it ever wakes it unwinds via the abort flag, and
+            // handle_task_panic's finished-guard skips the recount.
+            if let Some(holder) = inner.host().decisions.current() {
+                if !inner.tasks[holder.index()].finished {
+                    inner.tasks[holder.index()].finished = true;
+                    inner.alive -= 1;
                 }
-                inner
-                    .outcome
-                    .get_or_insert(ExecutionOutcome::WatchdogTimeout);
-                self.abort(&mut inner);
             }
-            inner.flush(sink, observer);
-            if inner.abort || inner.alive == 0 {
-                break;
-            }
-            if decisions.steps() >= max_steps {
-                inner
-                    .outcome
-                    .get_or_insert(ExecutionOutcome::StepLimitExceeded);
-                self.abort(&mut inner);
-                break;
-            }
-
-            let enabled: Vec<Tid> = inner
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| {
-                    !t.finished
-                        && t.pending
-                            .as_ref()
-                            .is_some_and(|op| op_enabled(&inner, Tid(*i), op))
-                })
-                .map(|(i, _)| Tid(i))
-                .collect();
-
-            if enabled.is_empty() {
-                let blocked: Vec<Tid> = inner
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| !t.finished)
-                    .map(|(i, _)| Tid(i))
-                    .collect();
-                inner
-                    .outcome
-                    .get_or_insert(ExecutionOutcome::Deadlock { blocked });
-                self.abort(&mut inner);
-                break;
-            }
-
-            // Every scheduler failure — a panicking pick or fault
-            // decision, a choice outside the enabled set — unwinds out of
-            // this one call, so it drains the tasks and reclaims the
-            // workers.
-            let decided = catch_unwind(AssertUnwindSafe(|| {
-                decisions.next(enabled, |chosen| {
-                    let pending = inner.tasks[chosen.index()]
-                        .pending
-                        .as_ref()
-                        .expect("enabled task has a pending op");
-                    NextOp {
-                        site: pending.site(),
-                        blocking: pending.is_blocking(),
-                        fallible: pending.is_fallible(),
-                    }
-                })
-            }));
-            let (chosen, fault) = match decided {
-                Ok(decided) => decided,
-                Err(payload) => {
-                    self.abort(&mut inner);
-                    match payload.downcast::<DivergencePayload>() {
-                        // Replay divergence is recoverable: surface it as
-                        // the outcome (with the partial trace) so the
-                        // search can quarantine instead of crash.
-                        Ok(divergence) => {
-                            inner.outcome.get_or_insert(divergence.into_outcome());
-                        }
-                        Err(payload) => scheduler_panic = Some(payload),
-                    }
-                    break;
-                }
-            };
-            inner.tasks[chosen.index()].fault = fault;
-            self.baton.hand_to(Turn::Task(chosen.index()));
+            inner
+                .outcome
+                .get_or_insert(ExecutionOutcome::WatchdogTimeout);
+            self.abort(&mut inner);
         }
         // Abort drain: the last task to unwind hands the turn back.
-        let t0 = time_phases.then(Instant::now);
         while inner.alive > 0 {
             drop(inner);
-            self.baton.wait_for(Turn::Controller, None);
+            self.baton.wait_for(Turn::Caller, None);
             inner = self.lock();
         }
-        if let Some(t0) = t0 {
-            replay_time += t0.elapsed();
-        }
-        if let Some(payload) = scheduler_panic {
+        if let Some(payload) = inner.host().scheduler_panic.take() {
+            inner.host = None;
             drop(inner);
             resume_unwind(payload);
         }
-        inner.flush(sink, observer);
-        // The replay wait covers everything task threads did while the
-        // controller was parked, including detector work; subtract it so
-        // the three phases partition the controller's wall-clock.
+        inner.flush();
+        let host = inner.host.take().expect(LENT);
         let detector_time = inner.detector_time;
-        decisions.report_phases(
-            observer,
-            detector_time,
-            replay_time.saturating_sub(detector_time),
-        );
         let outcome = inner.outcome.take().unwrap_or(ExecutionOutcome::Terminated);
         drop(inner);
-        decisions.finish(outcome)
+        // The caller's wait covers everything the baton holders did,
+        // including detector work and decisions; subtract both so the
+        // three phases partition the wall-clock of `run`.
+        let selection = host.decisions.selection_time();
+        let replay = started.map_or(Duration::ZERO, |t0| t0.elapsed());
+        host.decisions.report_phases(
+            host.observer,
+            detector_time,
+            replay
+                .saturating_sub(detector_time)
+                .saturating_sub(selection),
+        );
+        host.decisions.finish(outcome)
     }
 
-    /// Announces the next operation, parks until scheduled, then applies
-    /// the operation's effect. Called by the running task.
+    /// One scheduling step, made by the baton holder under the lock:
+    /// forward the queued events, check the step limit, compute the
+    /// enabled set, detect a deadlock, and record the scheduler's
+    /// decision. Returns the task to run next, or `None` once the
+    /// execution is aborted.
+    fn schedule(&self, inner: &mut ExecInner) -> Option<Tid> {
+        inner.flush();
+        if inner.host().decisions.steps() >= self.config.max_steps {
+            inner
+                .outcome
+                .get_or_insert(ExecutionOutcome::StepLimitExceeded);
+            self.abort(inner);
+            return None;
+        }
+
+        let enabled: Vec<Tid> = inner
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(i, t)| {
+                !t.finished
+                    && t.pending
+                        .as_ref()
+                        .is_some_and(|op| op_enabled(inner, Tid(*i), op))
+            })
+            .map(|(i, _)| Tid(i))
+            .collect();
+
+        if enabled.is_empty() {
+            let blocked: Vec<Tid> = inner
+                .tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| !t.finished)
+                .map(|(i, _)| Tid(i))
+                .collect();
+            inner
+                .outcome
+                .get_or_insert(ExecutionOutcome::Deadlock { blocked });
+            self.abort(inner);
+            return None;
+        }
+
+        // Every scheduler failure — a panicking pick or fault decision,
+        // a choice outside the enabled set — unwinds out of this one
+        // call, so it drains the tasks and reclaims the workers.
+        let ExecInner { host, tasks, .. } = &mut *inner;
+        let decisions = &mut host.as_mut().expect(LENT).decisions;
+        DECIDING.set(true);
+        let decided = catch_unwind(AssertUnwindSafe(|| {
+            decisions.next(enabled, |chosen| {
+                let pending = tasks[chosen.index()]
+                    .pending
+                    .as_ref()
+                    .expect("enabled task has a pending op");
+                NextOp {
+                    site: pending.site(),
+                    blocking: pending.is_blocking(),
+                    fallible: pending.is_fallible(),
+                }
+            })
+        }));
+        DECIDING.set(false);
+        match decided {
+            Ok((chosen, fault)) => {
+                inner.tasks[chosen.index()].fault = fault;
+                Some(chosen)
+            }
+            Err(payload) => {
+                self.abort(inner);
+                match payload.downcast::<DivergencePayload>() {
+                    // Replay divergence is recoverable: surface it as
+                    // the outcome (with the partial trace) so the
+                    // search can quarantine instead of crash.
+                    Ok(divergence) => {
+                        inner.outcome.get_or_insert(divergence.into_outcome());
+                    }
+                    Err(payload) => inner.host().scheduler_panic = Some(payload),
+                }
+                None
+            }
+        }
+    }
+
+    /// Passes the baton on from a holder that will not run on (the
+    /// caller before the root task starts, a task that just exited): to
+    /// the task the scheduler picks, or, once no task is alive, back to
+    /// the caller.
+    fn hand_on(&self, inner: &mut ExecInner) {
+        if inner.alive == 0 {
+            self.baton.hand_to(Turn::Caller);
+        } else if let Some(next) = self.schedule(inner) {
+            self.baton.hand_to(Turn::Task(next.index()));
+        }
+    }
+
+    /// Announces the next operation and decides the next step; if the
+    /// scheduler picks another task, hands it the baton and parks until
+    /// scheduled again. Then applies the operation's effect. Called by
+    /// the running task.
     pub(crate) fn sched_point(&self, tid: Tid, op: PendingOp) -> EffectOut {
         if std::thread::panicking() {
             // Unwinding (abort or user panic): synchronization effects no
@@ -526,14 +621,18 @@ impl Execution {
         );
         let is_exit = matches!(op, PendingOp::Exit);
         inner.tasks[tid.index()].pending = Some(op);
-        self.baton.hand_to(Turn::Controller);
-        drop(inner);
-        self.baton.wait_for(Turn::Task(tid.index()), None);
-        let mut inner = self.lock();
-        if inner.abort {
-            drop(inner);
-            panic_abort();
-        }
+        let mut inner = match self.schedule(&mut inner) {
+            Some(next) if next == tid => inner,
+            Some(next) => {
+                self.baton.hand_to(Turn::Task(next.index()));
+                drop(inner);
+                self.wait_turn(tid)
+            }
+            None => {
+                drop(inner);
+                panic_abort();
+            }
+        };
         let op = inner.tasks[tid.index()]
             .pending
             .take()
@@ -541,20 +640,27 @@ impl Execution {
         let fault = std::mem::take(&mut inner.tasks[tid.index()].fault);
         let out = apply_effect(&mut inner, tid, &op, fault);
         if is_exit {
-            self.baton.hand_to(Turn::Controller);
+            self.hand_on(&mut inner);
         }
         out
+    }
+
+    /// Parks until `tid` is scheduled and returns the lock; unwinds if
+    /// the execution was aborted meanwhile.
+    fn wait_turn(&self, tid: Tid) -> StdMutexGuard<'_, ExecInner> {
+        self.baton.wait_for(Turn::Task(tid.index()), None);
+        let inner = self.lock();
+        if inner.abort {
+            drop(inner);
+            panic_abort();
+        }
+        inner
     }
 
     /// Parks a freshly spawned task until its `Start` operation is
     /// scheduled. The parent already installed the pending op.
     fn park_initial(&self, tid: Tid) {
-        self.baton.wait_for(Turn::Task(tid.index()), None);
-        let mut inner = self.lock();
-        if inner.abort {
-            drop(inner);
-            panic_abort();
-        }
+        let mut inner = self.wait_turn(tid);
         let op = inner.tasks[tid.index()]
             .pending
             .take()
@@ -564,7 +670,7 @@ impl Execution {
     }
 
     /// Records a task's unwinding (user panic or abort).
-    fn handle_task_panic(&self, tid: Tid, payload: Box<dyn std::any::Any + Send>) {
+    fn handle_task_panic(&self, tid: Tid, payload: Box<dyn Any + Send>) {
         let mut inner = self.lock();
         if !is_abort(&*payload) {
             if inner.outcome.is_none() {
@@ -579,9 +685,9 @@ impl Execution {
             inner.tasks[tid.index()].finished = true;
             inner.alive -= 1;
             // Every unwind happens under an abort: the last task out
-            // hands the turn back to the draining controller.
+            // hands the turn back to the draining caller.
             if inner.alive == 0 {
-                self.baton.hand_to(Turn::Controller);
+                self.baton.hand_to(Turn::Caller);
             }
         }
     }
@@ -674,7 +780,8 @@ fn op_enabled(inner: &ExecInner, tid: Tid, op: &PendingOp) -> bool {
 }
 
 /// Applies the state transition of `op`, records its happens-before
-/// edges, and stores the post-step fingerprint for the controller.
+/// edges, and stores the post-step fingerprint for the next decision to
+/// forward.
 ///
 /// `fault` is the scheduler's decision for designated fallible
 /// operations (always `false` otherwise): a faulted `TryAcquire` fails
@@ -910,13 +1017,13 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..ROUNDS {
                         baton.wait_for(Turn::Task(0), None);
-                        baton.hand_to(Turn::Controller);
+                        baton.hand_to(Turn::Caller);
                     }
                 })
             };
             for _ in 0..ROUNDS {
                 baton.hand_to(Turn::Task(0));
-                baton.wait_for(Turn::Controller, None);
+                baton.wait_for(Turn::Caller, None);
             }
             peer.join().expect("peer thread panicked");
         });
@@ -941,9 +1048,9 @@ mod tests {
             for waiter in waiters {
                 assert!(waiter.join().expect("waiter panicked"));
             }
-            // The broadcast is for tasks: the controller still times out.
+            // The broadcast is for tasks: the caller still times out.
             let deadline = Instant::now() + Duration::from_millis(10);
-            assert!(!baton.wait_for(Turn::Controller, Some(deadline)));
+            assert!(!baton.wait_for(Turn::Caller, Some(deadline)));
         });
     }
 }

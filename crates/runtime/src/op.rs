@@ -3,7 +3,7 @@
 //!
 //! A parked task always has exactly one *pending operation* — the
 //! synchronization action it will perform when scheduled next. The
-//! controller computes the enabled set by evaluating each pending
+//! baton holder computes the enabled set by evaluating each pending
 //! operation against the current [`Resources`], exactly the "thread
 //! blocks only on accesses to synchronization variables" model of
 //! Section 3.1.
@@ -110,8 +110,8 @@ impl PendingOp {
         )
     }
 
-    /// Whether this operation is *designated fallible* — the controller
-    /// consults [`Scheduler::decide_fault`](icb_core::Scheduler) for it
+    /// Whether this operation is *designated fallible* — the baton
+    /// holder consults [`Scheduler::decide_fault`](icb_core::Scheduler) for it
     /// right after the scheduling decision. A `try_lock` may fail even
     /// when the lock is free, a condvar wait may wake spuriously, and a
     /// [`fail_point`](crate::fail_point) may trip; everything else is

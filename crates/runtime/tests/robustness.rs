@@ -6,7 +6,7 @@
 //! every parked task.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -98,6 +98,68 @@ fn watchdog_drains_the_other_tasks() {
         .run()
         .unwrap();
     assert!(report.completed);
+}
+
+/// A scheduler that counts the decisions it is asked for once `execute`
+/// has returned: the search's scheduler is only borrowed for the call.
+struct CountsLatePicks {
+    returned: Arc<AtomicBool>,
+    late_picks: Arc<AtomicUsize>,
+}
+
+impl Scheduler for CountsLatePicks {
+    fn pick(&mut self, point: SchedulePoint<'_>) -> Tid {
+        if self.returned.load(Ordering::SeqCst) {
+            self.late_picks.fetch_add(1, Ordering::SeqCst);
+        }
+        point.default_choice()
+    }
+}
+
+#[test]
+fn an_abandoned_task_never_reaches_the_scheduler_after_execute_returns() {
+    let config = RuntimeConfig {
+        max_wall_time: Some(Duration::from_millis(25)),
+        ..RuntimeConfig::default()
+    };
+    let woke = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&woke);
+    let program = RuntimeProgram::with_config(config, move || {
+        // Stuck past the watchdog, then a scheduling point.
+        std::thread::sleep(Duration::from_millis(250));
+        flag.store(true, Ordering::SeqCst);
+        thread::yield_now();
+    });
+    let returned = Arc::new(AtomicBool::new(false));
+    let late_picks = Arc::new(AtomicUsize::new(0));
+    // Kept alive past `execute`, so a late pick is counted, not a crash.
+    let mut scheduler = CountsLatePicks {
+        returned: Arc::clone(&returned),
+        late_picks: Arc::clone(&late_picks),
+    };
+    let result = program.execute(&mut scheduler, &mut NullSink);
+    returned.store(true, Ordering::SeqCst);
+    assert_eq!(result.outcome, ExecutionOutcome::WatchdogTimeout);
+
+    // Let the abandoned task wake and reach its scheduling point.
+    let waited = Instant::now();
+    while !woke.load(Ordering::SeqCst) && waited.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(woke.load(Ordering::SeqCst), "the abandoned task never woke");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(late_picks.load(Ordering::SeqCst), 0, "a pick after return");
+
+    let healthy = RuntimeProgram::new(|| {
+        let t = thread::spawn(|| {});
+        t.join();
+    });
+    let report = Search::over(&healthy)
+        .config(SearchConfig::default())
+        .run()
+        .unwrap();
+    assert!(report.completed);
+    assert_eq!(late_picks.load(Ordering::SeqCst), 0, "a pick after return");
 }
 
 #[test]
