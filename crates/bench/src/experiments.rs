@@ -1,4 +1,5 @@
-//! The experiments: one function per table/figure of the paper.
+//! The experiments: one function per table/figure of the paper, and the
+//! [`EXPERIMENTS`] table that names them for `all_experiments`.
 
 use icb_core::bounds;
 use icb_core::search::{Search, SearchConfig, Strategy};
@@ -157,10 +158,18 @@ pub fn fig1() {
             b.work_items.to_string(),
         ]);
     }
+    // Coverage saturates before the queues drain: the bounds after the
+    // first full one only revisit known states.
+    let full = report
+        .bound_history
+        .iter()
+        .find(|b| b.cumulative_states == total);
+    let bound = |b: Option<usize>| b.map_or("—".to_string(), |b| b.to_string());
     println!();
     println!(
-        "full coverage at bound {} (completed = {})",
-        report.completed_bound.map_or(0, |b| b),
+        "full coverage at bound {}; queues drained at bound {} (completed = {})",
+        bound(full.map(|b| b.bound)),
+        bound(report.completed_bound),
         report.completed
     );
 }
@@ -181,7 +190,7 @@ pub fn fig2() {
     ];
     let curves: Vec<(String, Vec<(usize, usize)>)> = strategies
         .iter()
-        .map(|&s| (s.label(), run_timed(s, &config, 1, &model).coverage_curve))
+        .map(|&s| (s.label(), run_timed(s, &config, &model).coverage_curve))
         .collect();
     print_curves_csv(&curves, 40);
 }
@@ -248,7 +257,7 @@ fn coverage_growth(
     }
     let curves: Vec<(String, Vec<(usize, usize)>)> = strategies
         .iter()
-        .map(|&s| (s.label(), run_timed(s, &config, 1, program).coverage_curve))
+        .map(|&s| (s.label(), run_timed(s, &config, program).coverage_curve))
         .collect();
     print_curves_csv(&curves, 40);
 }
@@ -330,17 +339,33 @@ pub fn theorem1() {
     }
 }
 
+/// Every experiment in paper order, under the name `all_experiments`
+/// takes to print it alone.
+pub const EXPERIMENTS: [(&str, fn()); 9] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("theorem1", theorem1),
+];
+
 /// Runs every experiment in paper order.
 pub fn all() {
-    table1();
-    table2();
-    fig1();
-    fig2();
-    fig3();
-    fig4();
-    fig5();
-    fig6();
-    theorem1();
+    for (_, run) in EXPERIMENTS {
+        run();
+    }
+}
+
+/// The experiment called `name`, if there is one.
+pub fn find(name: &str) -> Option<fn()> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
 }
 
 /// Figure 3: the Dryad use-after-free. The paper's figure is a code
@@ -379,4 +404,27 @@ pub fn fig3() {
     println!("{}", icb_core::render::lanes(&result.trace));
     println!();
     println!("compact: {}", icb_core::render::compact(&result.trace));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_find_the_nine_experiments_in_paper_order_and_nothing_else() {
+        let paper = [
+            "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "theorem1",
+        ];
+        assert_eq!(EXPERIMENTS.map(|(n, _)| n), paper);
+        for (name, run) in EXPERIMENTS {
+            let found = find(name).expect("every listed name is found");
+            assert!(
+                std::ptr::fn_addr_eq(found, run),
+                "{name} found another experiment"
+            );
+        }
+        for unknown in ["", "fig7", "Table1", "table1 ", "all"] {
+            assert!(find(unknown).is_none(), "{unknown:?} found an experiment");
+        }
+    }
 }

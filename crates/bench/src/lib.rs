@@ -1,29 +1,19 @@
-//! Shared helpers for the experiment binaries that regenerate every
-//! table and figure of the paper.
+//! Shared helpers for the `all_experiments` binary, which regenerates
+//! every table and figure of the paper.
 //!
-//! Each binary but `explore` prints one experiment:
+//! With no argument it prints every experiment in paper order. With one
+//! of the names in [`experiments::EXPERIMENTS`] (`table1`, `table2`,
+//! `fig1`–`fig6`, `theorem1`) it prints only that experiment's section
+//! of the same output; each experiment function says what it reproduces.
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — benchmark characteristics |
-//! | `table2` | Table 2 — bugs by context bound |
-//! | `fig1` | Figure 1 — WSQ coverage vs. context bound |
-//! | `fig2` | Figure 2 — WSQ coverage growth per strategy |
-//! | `fig3` | Figure 3 — the Dryad use-after-free witness |
-//! | `fig4` | Figure 4 — coverage vs. bound, four programs |
-//! | `fig5` | Figure 5 — APE coverage growth per strategy |
-//! | `fig6` | Figure 6 — Dryad coverage growth per strategy |
-//! | `theorem1` | Theorem 1 — measured executions vs. the bound |
-//! | `all_experiments` | everything above, in sequence |
-//! | `explore` | no experiment: the command-line front door that runs, resumes, replays and explains searches |
+//! The crate's other binary, `explore`, runs no experiment: it is the
+//! command-line front door that runs, resumes, replays and explains
+//! searches. Performance is measured by `perf`, a separate package
+//! under `src/bin/perf/`.
 //!
-//! Performance is measured by `perf`, a separate package under
-//! `src/bin/perf/`.
-//!
-//! Run with `cargo run --release -p icb-bench --bin <name>`.
+//! Run with `cargo run --release -p icb-bench --bin all_experiments [-- <name>]`.
 
 pub mod experiments;
-pub mod harness;
 
 use std::time::Instant;
 
@@ -32,7 +22,18 @@ use icb_core::ControlledProgram;
 
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+    println!("{}", format_row(cells));
+}
+
+/// Formats a markdown-style table row. Every whitespace run inside a
+/// cell becomes one space, so a multi-line cell (an `assert_eq!`
+/// message, say) keeps the row on one line.
+fn format_row(cells: &[String]) -> String {
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| c.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect();
+    format!("| {} |", cells.join(" | "))
 }
 
 /// Prints a markdown-style header with separator.
@@ -51,21 +52,19 @@ pub fn banner(title: &str) {
     println!();
 }
 
-/// Runs a strategy against a program, logging a one-line summary to
-/// stderr. The figures draw their curves from the returned report's
-/// `coverage_curve`: one point per execution at `jobs == 1` with the
-/// default `coverage_stride`.
+/// Runs a strategy against a program on one worker, logging a one-line
+/// summary to stderr. The figures draw their curves from the returned
+/// report's `coverage_curve`: one point per execution with the default
+/// `coverage_stride`.
 pub fn run_timed(
     strategy: Strategy,
     config: &SearchConfig,
-    jobs: usize,
     program: &(dyn ControlledProgram + Sync),
 ) -> SearchReport {
     let started = Instant::now();
     let report = Search::over(program)
         .strategy(strategy)
         .config(config.clone())
-        .jobs(jobs)
         .run()
         .expect("experiment configurations are valid");
     let elapsed = started.elapsed();
@@ -144,6 +143,16 @@ mod tests {
         assert_eq!(d.len(), 11);
         assert_eq!(*d.last().unwrap(), (100, 200));
         assert_eq!(d[0], (1, 2));
+    }
+
+    #[test]
+    fn rows_collapse_whitespace_inside_cells() {
+        let cells = [
+            "APE".into(),
+            "lost\n  left: 0\n right: 2".into(),
+            " a\tb ".into(),
+        ];
+        assert_eq!(format_row(&cells), "| APE | lost left: 0 right: 2 | a b |");
     }
 
     #[test]

@@ -190,18 +190,6 @@ pub struct CacheSummary {
     pub certified: bool,
 }
 
-impl CacheSummary {
-    /// Fraction of cache probes that hit, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.stores;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The result of running a search strategy.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchReport {

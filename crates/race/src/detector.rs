@@ -253,16 +253,6 @@ impl RaceDetector {
         Ok(())
     }
 
-    /// Number of registered sync objects.
-    pub fn sync_objects(&self) -> usize {
-        self.sync.len()
-    }
-
-    /// Number of registered data variables.
-    pub fn data_vars(&self) -> usize {
-        self.data.len()
-    }
-
     /// Number of racy accesses flagged so far in this execution — the
     /// count of [`data_access`](RaceDetector::data_access) calls that
     /// returned an error, whether or not the host chose to abort on them.

@@ -18,6 +18,10 @@ use icb_core::Tid;
 
 use crate::model::{Model, StepError, VmState};
 
+/// Safety valve on the number of `Search` invocations (work items) in
+/// one run; a run that reaches it stops with `completed == false`.
+const MAX_WORK: usize = 50_000_000;
+
 /// Configuration for the explicit-state ICB search.
 #[derive(Clone, Debug)]
 pub struct ExplicitConfig {
@@ -30,8 +34,6 @@ pub struct ExplicitConfig {
     pub state_caching: bool,
     /// Stop at the first assertion failure.
     pub stop_on_first_bug: bool,
-    /// Safety valve on the number of `Search` invocations.
-    pub max_work: usize,
 }
 
 impl Default for ExplicitConfig {
@@ -40,7 +42,6 @@ impl Default for ExplicitConfig {
             preemption_bound: None,
             state_caching: true,
             stop_on_first_bug: false,
-            max_work: 50_000_000,
         }
     }
 }
@@ -212,7 +213,7 @@ impl SearchState<'_> {
                 }
             }
             self.work_items += 1;
-            if self.work_items >= self.config.max_work {
+            if self.work_items >= MAX_WORK {
                 self.stop = true;
                 return;
             }

@@ -120,11 +120,6 @@ impl Model {
         self.threads.len()
     }
 
-    /// The thread names, indexed by [`Tid`].
-    pub fn thread_names(&self) -> Vec<&str> {
-        self.threads.iter().map(|t| t.name.as_str()).collect()
-    }
-
     /// The global scalar names, indexed by declaration order.
     pub fn global_names(&self) -> Vec<&str> {
         self.global_names.iter().map(String::as_str).collect()
@@ -138,11 +133,6 @@ impl Model {
     /// The per-execution step budget used by the stateless adapter.
     pub fn max_steps(&self) -> usize {
         self.max_steps
-    }
-
-    /// Sets the per-execution step budget.
-    pub fn set_max_steps(&mut self, max_steps: usize) {
-        self.max_steps = max_steps;
     }
 
     /// The initial (normalized) state.

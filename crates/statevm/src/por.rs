@@ -107,6 +107,10 @@ impl Model {
     }
 }
 
+/// Safety valve on the transitions one sleep-set search explores; a
+/// search that reaches it stops with `completed == false`.
+const MAX_TRANSITIONS: usize = 50_000_000;
+
 /// Configuration for the sleep-set search.
 #[derive(Clone, Debug)]
 pub struct PorConfig {
@@ -114,8 +118,6 @@ pub struct PorConfig {
     pub sleep_sets: bool,
     /// Stop at the first assertion failure or deadlock.
     pub stop_on_first_bug: bool,
-    /// Safety valve on explored transitions.
-    pub max_transitions: usize,
 }
 
 impl Default for PorConfig {
@@ -123,7 +125,6 @@ impl Default for PorConfig {
         PorConfig {
             sleep_sets: true,
             stop_on_first_bug: false,
-            max_transitions: 50_000_000,
         }
     }
 }
@@ -221,7 +222,7 @@ impl PorSearch<'_> {
                 return;
             }
             self.report.transitions += 1;
-            if self.report.transitions >= self.config.max_transitions {
+            if self.report.transitions >= MAX_TRANSITIONS {
                 self.stop = true;
                 return;
             }

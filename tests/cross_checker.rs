@@ -137,6 +137,20 @@ fn minimal_bug_bounds_agree_across_checkers() {
             "{name}: checkers disagree on the minimal bound"
         );
         assert!(explicit_bound.is_some(), "{name}: bug not found");
+        // DFS promises no minimal witness, but it must reach a bug too.
+        let dfs = Search::over(&model)
+            .strategy(Strategy::Dfs)
+            .config(SearchConfig {
+                stop_on_first_bug: true,
+                ..SearchConfig::default()
+            })
+            .run()
+            .unwrap();
+        let dfs_bound = dfs.first_bug().map(|b| b.preemptions);
+        assert!(
+            dfs_bound >= explicit_bound,
+            "{name}: DFS bug at {dfs_bound:?}, minimal bound {explicit_bound:?}"
+        );
     }
 }
 
