@@ -13,7 +13,8 @@ use icb_workloads::wsq::{wsq_model, WsqVariant};
 use crate::{banner, header, print_curves_csv, row, run_timed};
 
 /// Our source line counts, embedded at compile time so Table 1 can show
-/// LOC for this reimplementation next to the paper's.
+/// LOC for this reimplementation next to the paper's: the lines before
+/// a workload's `#[cfg(test)]` module, so its unit tests do not count.
 fn our_loc(name: &str) -> usize {
     let src: &str = match name {
         "Bluetooth" => include_str!("../../workloads/src/bluetooth.rs"),
@@ -25,7 +26,9 @@ fn our_loc(name: &str) -> usize {
         "Fault Injection" => include_str!("../../workloads/src/faultinj.rs"),
         _ => "",
     };
-    src.lines().count()
+    src.lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .count()
 }
 
 /// Table 1: benchmark characteristics — threads, max K (steps), max B

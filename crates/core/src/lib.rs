@@ -17,7 +17,9 @@
 //!
 //! * [`ControlledProgram`] — anything that can be executed under a
 //!   [`Scheduler`]. Implemented by the stateless runtime (`icb-runtime`)
-//!   and by the explicit-state VM (`icb-statevm`).
+//!   and by the explicit-state VM (`icb-statevm`). The VM is also
+//!   [`Resumable`]: it can start an execution from a [`Saved`] state, so
+//!   a tree search need not re-execute a prefix it already ran.
 //! * [`Scheduler`] — decides which thread runs at every scheduling point.
 //! * [`Decisions`] — the one step recorder every host drives: it asks the
 //!   scheduler and records the [`Trace`] from which preemptions are
@@ -110,7 +112,9 @@ pub use cache::{Certification, ExplorationCache, NoopCache};
 pub use coverage::{CoverageTracker, NullSink, StateSink};
 pub use explain::{ExplainedWitness, NearestPassing};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, WorkerStats};
-pub use program::{ControlledProgram, Decisions, FaultPoint, NextOp, SchedulePoint, Scheduler};
+pub use program::{
+    ControlledProgram, Decisions, FaultPoint, NextOp, Resumable, Saved, SchedulePoint, Scheduler,
+};
 pub use replay::ReplayScheduler;
 pub use search::{Search, SearchError, Strategy};
 pub use snapshot::{Checkpointer, ResumeBase, SearchSnapshot, StrategyState};

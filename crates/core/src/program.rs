@@ -1,5 +1,6 @@
 //! The interface between programs under test and search strategies.
 
+use std::any::Any;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -100,6 +101,21 @@ pub trait Scheduler {
         let _ = point;
         false
     }
+
+    /// Whether a [`Resumable`] host should save the state before step
+    /// `step_index`, asked through [`Decisions::keep`] once the step's
+    /// thread is picked and before the step runs. The default keeps
+    /// nothing.
+    fn keep(&mut self, step_index: usize) -> bool {
+        let _ = step_index;
+        false
+    }
+
+    /// Receives the state saved before a step [`keep`](Scheduler::keep)
+    /// asked for.
+    fn kept(&mut self, saved: Saved) {
+        let _ = saved;
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -109,6 +125,43 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 
     fn decide_fault(&mut self, point: FaultPoint) -> bool {
         (**self).decide_fault(point)
+    }
+
+    fn keep(&mut self, step_index: usize) -> bool {
+        (**self).keep(step_index)
+    }
+
+    fn kept(&mut self, saved: Saved) {
+        (**self).kept(saved)
+    }
+}
+
+/// A host state saved before one step of an execution, for
+/// [`Resumable::execute_from`] to start from. The state itself is the
+/// host's own type; only the host that saved it reads it back.
+pub struct Saved {
+    step: usize,
+    state: Box<dyn Any + Send>,
+}
+
+impl fmt::Debug for Saved {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Saved")
+            .field("step", &self.step)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Saved {
+    /// The number of steps that reached the state, which is the index of
+    /// the step it precedes.
+    pub fn step(&self) -> usize {
+        self.step
+    }
+
+    /// The saved state, if it has type `S`.
+    pub fn state<S: Any>(&self) -> Option<&S> {
+        self.state.downcast_ref()
     }
 }
 
@@ -164,9 +217,16 @@ impl fmt::Debug for Decisions<'_> {
 impl<'s> Decisions<'s> {
     /// Starts recording an execution scheduled by `scheduler`.
     pub fn new(scheduler: &'s mut dyn Scheduler) -> Self {
+        Decisions::resume(scheduler, Trace::new())
+    }
+
+    /// Continues recording an execution resumed from a [`Saved`] state:
+    /// `trace` holds the steps that reached it, so the finished
+    /// [`ExecutionResult`] covers the whole execution.
+    pub fn resume(scheduler: &'s mut dyn Scheduler, trace: Trace) -> Self {
         Decisions {
             scheduler,
-            trace: Trace::new(),
+            trace,
             selection: None,
         }
     }
@@ -237,6 +297,20 @@ impl<'s> Decisions<'s> {
         (chosen, fault)
     }
 
+    /// Asks the scheduler whether to keep the state before the step
+    /// [`next`](Decisions::next) just recorded and, if so, hands it the
+    /// state `state` builds. A [`Resumable`] host calls this after each
+    /// `next`, before it applies the step.
+    pub fn keep<S: Any + Send>(&mut self, state: impl FnOnce() -> S) {
+        let step = self.trace.len() - 1;
+        if self.scheduler.keep(step) {
+            self.scheduler.kept(Saved {
+                step,
+                state: Box::new(state()),
+            });
+        }
+    }
+
     /// Reports the execution's three phases to `observer`, in their fixed
     /// order — Selection (the recorder's own timer), RaceDetection,
     /// Replay — when phase timing is on; reports nothing otherwise.
@@ -262,10 +336,11 @@ impl<'s> Decisions<'s> {
 /// A program whose scheduling is fully controlled by a [`Scheduler`].
 ///
 /// This is the *stateless checker* interface (the paper's CHESS): the
-/// search cannot capture or restore states, only re-execute the program
-/// from its unique initial state under different schedules. Both the
-/// controlled runtime (`icb-runtime`) and the explicit-state VM
-/// (`icb-statevm`) implement it.
+/// search re-executes the program from its unique initial state under
+/// different schedules. Both the controlled runtime (`icb-runtime`) and
+/// the explicit-state VM (`icb-statevm`) implement it; a host that can
+/// also save and restore its states offers that through
+/// [`resumable`](ControlledProgram::resumable).
 ///
 /// # Contract
 ///
@@ -319,6 +394,44 @@ pub trait ControlledProgram {
     fn fingerprints_are_exact(&self) -> bool {
         false
     }
+
+    /// The host's [`Resumable`] side, if it can start an execution from
+    /// a saved state. The default is `None`: every execution starts from
+    /// the initial state.
+    fn resumable(&self) -> Option<&dyn Resumable> {
+        None
+    }
+}
+
+/// A host that can run an execution from a state it saved earlier, so a
+/// search need not re-execute a schedule prefix it already ran.
+///
+/// # Contract
+///
+/// Beyond [`ControlledProgram`]'s: resuming from a [`Saved`] state must
+/// give the same execution, step for step, as re-executing from the
+/// initial state the schedule prefix that reached it.
+pub trait Resumable {
+    /// Runs one execution, recorded by `decisions`: from the initial
+    /// state when `from` is `None` (exactly
+    /// [`execute_observed`](ControlledProgram::execute_observed)),
+    /// otherwise from the saved state, whose reaching steps `decisions`
+    /// already holds ([`Decisions::resume`]). The first fingerprint
+    /// reported to `sink` is the starting state's. After each pick the
+    /// host offers the state before the step through
+    /// [`Decisions::keep`].
+    ///
+    /// # Panics
+    ///
+    /// May panic if `from` was saved by another host, or if `decisions`
+    /// does not hold exactly the steps that reached it.
+    fn execute_from(
+        &self,
+        from: Option<&Saved>,
+        decisions: Decisions<'_>,
+        sink: &mut dyn StateSink,
+        observer: &mut dyn SearchObserver,
+    ) -> ExecutionResult;
 }
 
 impl<P: ControlledProgram + ?Sized> ControlledProgram for &P {
@@ -341,6 +454,10 @@ impl<P: ControlledProgram + ?Sized> ControlledProgram for &P {
 
     fn fingerprints_are_exact(&self) -> bool {
         (**self).fingerprints_are_exact()
+    }
+
+    fn resumable(&self) -> Option<&dyn Resumable> {
+        (**self).resumable()
     }
 }
 
@@ -465,6 +582,40 @@ mod tests {
             let derived = e.current.is_some_and(|c| e.enabled.contains(&c));
             assert_eq!(e.current_enabled, derived);
         }
+    }
+
+    #[test]
+    fn keep_offers_the_state_before_the_recorded_step_and_resume_continues_its_trace() {
+        /// Runs the lowest enabled thread and keeps the odd steps.
+        struct Keeper(Vec<usize>);
+        impl Scheduler for Keeper {
+            fn pick(&mut self, p: SchedulePoint<'_>) -> Tid {
+                p.enabled[0]
+            }
+            fn keep(&mut self, step_index: usize) -> bool {
+                step_index % 2 == 1
+            }
+            fn kept(&mut self, saved: Saved) {
+                assert_eq!(saved.state::<usize>(), Some(&(saved.step() * 10)));
+                self.0.push(saved.step());
+            }
+        }
+        let mut keeper = Keeper(Vec::new());
+        let mut decisions = Decisions::new(&mut keeper);
+        for step in 0..4_usize {
+            decisions.next(vec![Tid(0)], |_| NextOp::default());
+            decisions.keep(|| step * 10);
+        }
+        let mut trace = decisions.finish(ExecutionOutcome::Terminated).trace;
+        assert_eq!(keeper.0, [1, 3]);
+        // Resumed before step 2, the recorder sees the steps that reached
+        // it: thread 0 is current, so switching away is a preemption.
+        trace.truncate(2);
+        let mut decisions = Decisions::resume(&mut keeper, trace);
+        assert_eq!((decisions.steps(), decisions.current()), (2, Some(Tid(0))));
+        decisions.next(vec![Tid(1)], |_| NextOp::default());
+        let result = decisions.finish(ExecutionOutcome::Terminated);
+        assert_eq!((result.stats.steps, result.stats.context_switches), (3, 1));
     }
 
     #[test]

@@ -33,22 +33,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// The generator's raw internal state, for checkpointing. Feed it to
-    /// [`from_state`](SplitMix64::from_state) to resume the stream
-    /// exactly where it left off.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator from a checkpointed [`state`](SplitMix64::state).
-    ///
-    /// Unlike [`new`](SplitMix64::new), which treats its argument as a
-    /// seed, this continues the exact output stream of the checkpointed
-    /// generator.
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
-
     /// The next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -46,7 +46,9 @@ pub(crate) fn run_best_first(program: &dyn ControlledProgram, ledger: &mut Ledge
                 frontier_enabled: Vec::new(),
             };
             ledger.begin();
-            let run = execute_caught(program, &mut sched, &mut ledger.coverage, &mut buf);
+            let run = execute_caught(|| {
+                program.execute_observed(&mut sched, &mut ledger.coverage, &mut buf)
+            });
             buf.replay(ledger);
             match run {
                 Ok(result) => break (result, sched),
@@ -81,7 +83,7 @@ pub(crate) fn run_best_first(program: &dyn ControlledProgram, ledger: &mut Ledge
             cache: (0, 0),
             done: true,
         };
-        let (exec, _, _) = finish_run(ran, cost, ledger.want_choice);
+        let (exec, ..) = finish_run(ran, cost, ledger.want_choice);
         ledger.apply(exec);
     }
     !ledger.stop

@@ -41,7 +41,7 @@ use crate::search::{choice_events, fault_events, QuarantinedTrace};
 use crate::snapshot::{interrupt, BranchSnapshot as Branch, StrategyState};
 use crate::telemetry::{AbortReason, Phase, SearchObserver};
 use crate::tid::Tid;
-use crate::trace::{ExecutionOutcome, ExecutionResult, Schedule};
+use crate::trace::{ExecutionOutcome, ExecutionResult, Schedule, Trace};
 
 /// How long the pump waits for an event between control checks
 /// (deadline, interrupt, checkpoint cadence).
@@ -68,6 +68,9 @@ pub(crate) struct Ran {
 pub(crate) trait Explore: Sync {
     /// An in-flight work item.
     type Item: Send + Clone;
+    /// What one worker keeps from item to item. Each worker starts
+    /// every search, and every ICB level, with a fresh one.
+    type Local: Default + Send;
     /// `false` for samplers: running out of items spends the budget
     /// instead of exhausting the space.
     const EXHAUSTIVE: bool = true;
@@ -79,10 +82,17 @@ pub(crate) trait Explore: Sync {
     fn run(
         &self,
         item: &mut Self::Item,
+        local: &mut Self::Local,
         rerun: bool,
         sink: &mut dyn StateSink,
         observer: &mut dyn SearchObserver,
     ) -> Result<Ran, String>;
+
+    /// Takes back the trace of the run [`run`](Explore::run) just
+    /// returned, once the ledger has what it needs from it.
+    fn reclaim(&self, local: &mut Self::Local, trace: Trace) {
+        let _ = (local, trace);
+    }
 
     /// Dissolves `item`, whose last run took `path`, into items a
     /// starving peer can take.
@@ -192,14 +202,9 @@ impl From<(Schedule, Vec<Branch>)> for Node {
 /// it inside its engine and returns the same outcome), and any other
 /// panic into `Err(message)`.
 pub(crate) fn execute_caught(
-    program: &dyn ControlledProgram,
-    scheduler: &mut dyn crate::program::Scheduler,
-    sink: &mut dyn StateSink,
-    observer: &mut dyn SearchObserver,
+    execute: impl FnOnce() -> ExecutionResult,
 ) -> Result<ExecutionResult, String> {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        program.execute_observed(scheduler, sink, observer)
-    }));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute));
     let payload = match run {
         Ok(result) => return Ok(result),
         Err(payload) => payload,
@@ -219,9 +224,13 @@ pub(crate) fn execute_caught(
     }
 }
 
-/// Folds a run into the ledger's form; returns it with the run's path
-/// and whether the item is done.
-pub(crate) fn finish_run(ran: Ran, cost: usize, want_choice: bool) -> (Exec, Schedule, bool) {
+/// Folds a run into the ledger's form; returns it with the run's path,
+/// whether the item is done, and the run's trace.
+pub(crate) fn finish_run(
+    ran: Ran,
+    cost: usize,
+    want_choice: bool,
+) -> (Exec, Schedule, bool, Trace) {
     let Ran {
         result,
         path,
@@ -270,7 +279,7 @@ pub(crate) fn finish_run(ran: Ran, cost: usize, want_choice: bool) -> (Exec, Sch
         beyond,
         cache,
     };
-    (exec, path, done)
+    (exec, path, done, result.trace)
 }
 
 /// A finished execution, or a caught panic's message and quarantine
@@ -380,6 +389,7 @@ pub(crate) fn drain<S: Explore>(
     if crew.jobs == 1 {
         let mut lane = Inline {
             s,
+            local: S::Local::default(),
             buf: BufObserver::new(ledger),
             ledger,
             queue: items.into(),
@@ -407,6 +417,7 @@ pub(crate) fn drain<S: Explore>(
                 budget,
                 cost,
                 want_choice,
+                local: S::Local::default(),
                 dedup: DedupSink::default(),
                 buf: BufObserver::new(ledger),
             };
@@ -504,6 +515,7 @@ pub(crate) fn save<S: Explore>(s: &S, ledger: &mut Ledger<'_>, items: &[Work<S::
 /// The `jobs = 1` lane: a plain queue and the ledger itself.
 struct Inline<'a, 'o, S: Explore> {
     s: &'a S,
+    local: S::Local,
     buf: BufObserver,
     ledger: &'a mut Ledger<'o>,
     queue: VecDeque<Work<S::Item>>,
@@ -527,10 +539,16 @@ impl<S: Explore> Lane<S> for Inline<'_, '_, S> {
     }
 
     fn run(&mut self, item: &mut S::Item, rerun: bool) -> Result<(Exec, Schedule, bool), String> {
-        let ran = self
-            .s
-            .run(item, rerun, &mut self.ledger.coverage, &mut self.buf)?;
-        Ok(finish_run(ran, self.cost, self.ledger.want_choice))
+        let ran = self.s.run(
+            item,
+            &mut self.local,
+            rerun,
+            &mut self.ledger.coverage,
+            &mut self.buf,
+        )?;
+        let (exec, path, done, trace) = finish_run(ran, self.cost, self.ledger.want_choice);
+        self.s.reclaim(&mut self.local, trace);
+        Ok((exec, path, done))
     }
 
     fn deliver(&mut self, exec: Delivery, open: Option<&S::Item>) {
@@ -649,6 +667,7 @@ struct Worker<'a, S: Explore> {
     budget: usize,
     cost: usize,
     want_choice: bool,
+    local: S::Local,
     dedup: DedupSink,
     buf: BufObserver,
 }
@@ -681,12 +700,16 @@ impl<S: Explore> Lane<S> for Worker<'_, S> {
 
     fn run(&mut self, item: &mut S::Item, rerun: bool) -> Result<(Exec, Schedule, bool), String> {
         let busy = Instant::now();
-        let ran = self.s.run(item, rerun, &mut self.dedup, &mut self.buf);
+        let ran = self
+            .s
+            .run(item, &mut self.local, rerun, &mut self.dedup, &mut self.buf);
         if let Some(m) = &self.crew.metrics {
             m.worker_busy(self.id, busy.elapsed());
             m.worker_execution(self.id);
         }
-        Ok(finish_run(ran?, self.cost, self.want_choice))
+        let (exec, path, done, trace) = finish_run(ran?, self.cost, self.want_choice);
+        self.s.reclaim(&mut self.local, trace);
+        Ok((exec, path, done))
     }
 
     fn deliver(&mut self, exec: Delivery, _open: Option<&S::Item>) {

@@ -36,6 +36,16 @@
 //! bug found carries a minimum-`(preemptions, faults)` witness. At
 //! fault bound 0 no fault is ever injected or deferred and the search
 //! degenerates exactly to the single-axis algorithm above.
+//!
+//! # Resuming saved states
+//!
+//! When the program is [`Resumable`](crate::Resumable), a run need not re-execute its
+//! whole prefix. Each worker keeps a resume stack ([`Resume`]): the
+//! states before some steps of its last run, with that run's trace. A
+//! run starts from the deepest saved step `p` with `p ≤ fresh_from`
+//! whose recorded path its own path repeats on `[0, p)`, choices and
+//! fault flags both; every point it skips was handled by an earlier run,
+//! so the run emits, probes and reports exactly what a replay would.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -44,14 +54,14 @@ use std::time::Instant;
 
 use crate::cache::{coverage_credit, ExplorationCache, FAULT_PROBE_SALT};
 use crate::coverage::StateSink;
-use crate::program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
+use crate::program::{ControlledProgram, Decisions, FaultPoint, Saved, SchedulePoint, Scheduler};
 use crate::search::driver::{drain, execute_caught, save, Crew, Explore, Node, Ran, Work};
 use crate::search::ledger::Ledger;
 use crate::search::QuarantinedTrace;
 use crate::snapshot::{BranchSnapshot as Branch, IcbState, StrategyState};
 use crate::telemetry::{AbortReason, SearchObserver};
 use crate::tid::Tid;
-use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
+use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule, Trace};
 
 /// The level loop of Algorithm 1 over the one driver: drains each
 /// `(c, f)` level's queue in lexicographic level order, deferring
@@ -205,30 +215,47 @@ impl<'a> Tree<'a> {
 
 impl Explore for Tree<'_> {
     type Item = Node;
+    type Local = Resume;
 
-    /// Replays the prefix, follows the branch stack, records new branch
-    /// points and backtracks; a panic leaves the stack as it was.
+    /// Replays the prefix (or resumes a saved state along it), follows
+    /// the branch stack, records new branch points and backtracks; a
+    /// panic leaves the stack as it was.
     fn run(
         &self,
         node: &mut Node,
+        local: &mut Resume,
         rerun: bool,
         sink: &mut dyn StateSink,
         observer: &mut dyn SearchObserver,
     ) -> Result<Ran, String> {
         let depth = node.stack.len();
+        // Points from here on are visited for the first time: deferrals
+        // are emitted only for them (earlier points were handled by an
+        // earlier run or by the parent item). After backtracking (or from
+        // a snapshot, saved post-backtrack) the deepest branch point takes
+        // a new option; everything after it is fresh.
+        let fresh_from = node.stack.last().map_or(node.prefix.len(), |b| b.step + 1);
+        let resumable = self.program.resumable();
+        // A retry re-executes the whole path.
+        let from = match resumable {
+            Some(_) if !rerun => {
+                local.start(node, fresh_from, matches!(self.mode, Mode::Icb { .. }))
+            }
+            Some(_) => {
+                local.clear();
+                None
+            }
+            None => None,
+        };
+        let (path, trace) = from.map_or_else(Default::default, |p| local.reached(p));
+        let skipped = from.unwrap_or(0);
         let cursor = Cell::new(0);
         let mut sched = TreeScheduler {
             prefix: &node.prefix,
-            // Points from here on are visited for the first time:
-            // deferrals are emitted only for them (earlier points were
-            // handled by an earlier run or by the parent item). After
-            // backtracking (or from a snapshot, saved post-backtrack)
-            // the deepest branch point takes a new option; everything
-            // after it is fresh.
-            fresh_from: node.stack.last().map_or(node.prefix.len(), |b| b.step + 1),
+            fresh_from,
+            cursor: node.stack.partition_point(|b| b.step < skipped),
             stack: std::mem::take(&mut node.stack),
-            cursor: 0,
-            path: Schedule::new(),
+            path,
             mode: self.mode,
             coast: false,
             emitted: [Vec::new(), Vec::new()],
@@ -237,28 +264,39 @@ impl Explore for Tree<'_> {
                 .cache
                 .filter(|_| !rerun)
                 .map(|cache| ItemCache::new(cache, &cursor, self.credits)),
+            saves: resumable.map(|_| Vec::new()),
+            keep_from: from.map_or(0, |p| p + 1),
+            branching: false,
         };
         let mut gated;
         let sink: &mut dyn StateSink = match self.mode {
             Mode::Dfs(Some(remaining)) => {
+                // The gate counts steps: a resumed run's first visit is
+                // the state before step `skipped`.
                 gated = GatedSink {
                     inner: sink,
-                    remaining,
+                    remaining: remaining.saturating_sub(skipped),
                 };
                 &mut gated
             }
             _ => sink,
         };
+        let saved = from.and(local.saves.last());
+        let execute = |sink: &mut dyn StateSink| {
+            execute_caught(|| match resumable {
+                Some(r) => {
+                    r.execute_from(saved, Decisions::resume(&mut sched, trace), sink, observer)
+                }
+                None => self.program.execute_observed(&mut sched, sink, observer),
+            })
+        };
         let result = match self.cache {
-            Some(cache) => {
-                let mut sink = CursorSink {
-                    inner: sink,
-                    state: &cursor,
-                    cache,
-                };
-                execute_caught(self.program, &mut sched, &mut sink, observer)
-            }
-            None => execute_caught(self.program, &mut sched, sink, observer),
+            Some(cache) => execute(&mut CursorSink {
+                inner: sink,
+                state: &cursor,
+                cache,
+            }),
+            None => execute(sink),
         };
         let TreeScheduler {
             mut stack,
@@ -266,8 +304,20 @@ impl Explore for Tree<'_> {
             emitted,
             counted,
             cache,
+            saves,
             ..
         } = sched;
+        if let Some(saves) = saves {
+            match &result {
+                Ok(r) if !matches!(r.outcome, ExecutionOutcome::ReplayDivergence { .. }) => {
+                    local.saves.extend(saves);
+                }
+                // A panicked run's saves go with it, and so does the
+                // trace the older saves lie on; a diverging program's
+                // states cannot be trusted.
+                _ => local.clear(),
+            }
+        }
         if result.is_err() {
             stack.truncate(depth);
         }
@@ -291,6 +341,14 @@ impl Explore for Tree<'_> {
             cache: cache.map_or((0, 0), |c| (c.hits, c.stores)),
             done: node.backtrack(),
         })
+    }
+
+    /// Keeps the run's trace while the stack holds states saved along
+    /// it.
+    fn reclaim(&self, local: &mut Resume, trace: Trace) {
+        if !local.saves.is_empty() {
+            local.trace = trace;
+        }
     }
 
     fn split(&self, node: Node, path: &Schedule) -> Vec<Node> {
@@ -361,6 +419,73 @@ impl Explore for Tree<'_> {
             StrategyState::Random { .. } => unreachable!("a tree search resumes no random walk"),
         }
     }
+}
+
+/// A worker's resume stack: states saved before steps of its last
+/// successful run, and that run's trace. Saved states stay on the
+/// worker: they never enter a queued, split or donated item or a
+/// snapshot.
+#[derive(Default)]
+pub(crate) struct Resume {
+    /// The trace every save lies on (taken by a resumed run while it
+    /// runs).
+    trace: Trace,
+    /// States before steps of `trace`, by increasing step.
+    saves: Vec<Saved>,
+}
+
+impl Resume {
+    fn clear(&mut self) {
+        self.trace = Trace::new();
+        self.saves.clear();
+    }
+
+    /// The step the next run of `node` resumes at, if any: the deepest
+    /// saved step `p ≤ fresh_from` whose recorded path the run repeats
+    /// on `[0, p)`. Drops the saves deeper than it, which lie off the
+    /// run's path.
+    fn start(&mut self, node: &Node, fresh_from: usize, icb: bool) -> Option<usize> {
+        if self.saves.is_empty() {
+            return None;
+        }
+        let agreed = agreement(&self.trace, node, fresh_from, icb);
+        let keep = self.saves.partition_point(|s| s.step() <= agreed);
+        self.saves.truncate(keep);
+        self.saves.last().map(Saved::step)
+    }
+
+    /// The path and trace that reach the save at step `p`.
+    fn reached(&mut self, p: usize) -> (Schedule, Trace) {
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.truncate(p);
+        (trace.schedule(), trace)
+    }
+}
+
+/// How many leading steps of `trace` the next run of `node` takes
+/// exactly as recorded, choices and fault flags both, up to
+/// `fresh_from`. The run's path there is fixed: the prefix, then each
+/// stack branch's current option, and between branches (ICB only) the
+/// forced continuation of the running thread.
+fn agreement(trace: &Trace, node: &Node, fresh_from: usize, icb: bool) -> usize {
+    let entries = trace.entries();
+    let end = fresh_from.min(entries.len());
+    let mut branches = node.stack.iter().peekable();
+    for (i, e) in entries[..end].iter().enumerate() {
+        let (choice, fault) = if let Some(t) = node.prefix.get(i) {
+            (Some(t), node.prefix.fault_at(i))
+        } else if let Some(b) = branches.next_if(|b| b.step == i) {
+            (Some(b.options[b.next_ix]), false)
+        } else if icb && e.current_enabled {
+            (e.current, false)
+        } else {
+            return i;
+        };
+        if choice != Some(e.chosen) || fault != e.fault {
+            return i;
+        }
+    }
+    end
 }
 
 /// Forwards at most `remaining` fingerprints, dropping the rest — states
@@ -497,6 +622,12 @@ struct TreeScheduler<'a> {
     counted: usize,
     /// Fingerprint-cache probing: at ICB deferrals, at DFS branch points.
     cache: Option<ItemCache<'a>>,
+    /// States this run saved, `None` unless the program is resumable.
+    saves: Option<Vec<Saved>>,
+    /// First step whose state is not on the resume stack yet.
+    keep_from: usize,
+    /// The last pick took a branch point with options left after it.
+    branching: bool,
 }
 
 /// A replayed choice, which the program must still offer.
@@ -550,6 +681,7 @@ impl TreeScheduler<'_> {
         if let Some(b) = self.stack.get(self.cursor) {
             debug_assert_eq!(b.step, step, "branch stack out of sync with execution");
             self.cursor += 1;
+            self.branching = b.next_ix + 1 < b.options.len();
             return replayed(point, b.options[b.next_ix]);
         }
         let mut options = point.enabled.to_vec();
@@ -563,6 +695,7 @@ impl TreeScheduler<'_> {
             }
         }
         let first = options[0];
+        self.branching = options.len() > 1;
         self.stack.push(Branch {
             step,
             options,
@@ -616,6 +749,22 @@ impl Scheduler for TreeScheduler<'_> {
             self.emitted[1].push(item);
         }
         false
+    }
+
+    /// Keeps the state before each branch point a later run of this item
+    /// backtracks to, and before the item's last prefix choice, where
+    /// the items deferred next to it branch off.
+    fn keep(&mut self, step_index: usize) -> bool {
+        let branching = std::mem::take(&mut self.branching);
+        self.saves.is_some()
+            && step_index >= self.keep_from
+            && (branching || step_index + 1 == self.prefix.len())
+    }
+
+    fn kept(&mut self, saved: Saved) {
+        if let Some(saves) = &mut self.saves {
+            saves.push(saved);
+        }
     }
 }
 

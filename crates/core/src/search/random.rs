@@ -36,17 +36,22 @@ fn walk_rng(seed: u64, index: u64) -> SplitMix64 {
 
 impl Explore for Walks<'_> {
     type Item = Range<u64>;
+    type Local = ();
     const EXHAUSTIVE: bool = false;
 
     fn run(
         &self,
         walks: &mut Range<u64>,
+        _local: &mut (),
         _rerun: bool,
         sink: &mut dyn StateSink,
         observer: &mut dyn SearchObserver,
     ) -> Result<Ran, String> {
         let mut rng = walk_rng(self.seed, walks.start);
-        let result = execute_caught(self.program, &mut WalkScheduler(&mut rng), sink, observer)?;
+        let result = execute_caught(|| {
+            self.program
+                .execute_observed(&mut WalkScheduler(&mut rng), sink, observer)
+        })?;
         walks.start += self.cost;
         Ok(Ran {
             result,

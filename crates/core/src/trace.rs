@@ -309,6 +309,11 @@ impl Trace {
         self.entries.is_empty()
     }
 
+    /// Keeps the first `len` decisions.
+    pub fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+    }
+
     /// Number of preempting context switches (`NP` in the paper).
     pub fn preemptions(&self) -> usize {
         self.entries.iter().filter(|e| e.is_preemption()).count()

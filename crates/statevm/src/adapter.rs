@@ -1,22 +1,24 @@
-//! Driving a [`Model`] statelessly, as a
+//! Driving a [`Model`] as a
 //! [`ControlledProgram`](icb_core::ControlledProgram).
 //!
 //! This lets every `icb-core` search strategy (ICB, DFS, `db:N`, `idfs`,
-//! random) run over VM models by re-interpreting the model from its
-//! initial state under each schedule, with the *exact* concrete state
-//! hash as the coverage fingerprint. It is also the bridge for
-//! cross-validating the stateless searches against the explicit-state
-//! checker ([`crate::ExplicitIcb`]): both must see the same state space.
+//! random) run over VM models, with the *exact* concrete state hash as
+//! the coverage fingerprint. A run starts from the initial state or, as
+//! a [`Resumable`] host, from a state saved by an earlier run, so a tree
+//! search re-interprets no schedule prefix it already ran. It is also
+//! the bridge for cross-validating the stateless searches against the
+//! explicit-state checker ([`crate::ExplicitIcb`]): both must see the
+//! same state space.
 
 use std::time::{Duration, Instant};
 
 use icb_core::{
     ControlledProgram, Decisions, ExecutionOutcome, ExecutionResult, NextOp, NoopObserver,
-    Scheduler, SearchObserver, SiteId, StateSink, Tid,
+    Resumable, Saved, Scheduler, SearchObserver, SiteId, StateSink, Tid,
 };
 
 use crate::instr::Instr;
-use crate::model::{Model, StepError};
+use crate::model::{Model, StepError, VmState};
 
 impl ControlledProgram for Model {
     fn execute(&self, scheduler: &mut dyn Scheduler, sink: &mut dyn StateSink) -> ExecutionResult {
@@ -36,15 +38,54 @@ impl ControlledProgram for Model {
         sink: &mut dyn StateSink,
         observer: &mut dyn SearchObserver,
     ) -> ExecutionResult {
+        self.execute_from(None, Decisions::new(scheduler), sink, observer)
+    }
+
+    fn resumable(&self) -> Option<&dyn Resumable> {
+        Some(self)
+    }
+}
+
+/// What the VM saves before a step: the state and its fingerprint.
+type SavedState = (VmState, u64);
+
+impl Resumable for Model {
+    /// # Panics
+    ///
+    /// Panics if `from` is not a state a model saved, or `decisions`
+    /// does not hold exactly the steps that reached it.
+    fn execute_from(
+        &self,
+        from: Option<&Saved>,
+        decisions: Decisions<'_>,
+        sink: &mut dyn StateSink,
+        observer: &mut dyn SearchObserver,
+    ) -> ExecutionResult {
         let time_phases = observer.wants_phase_timing();
         let t_start = time_phases.then(Instant::now);
-        let mut decisions = Decisions::new(scheduler).time_phases(time_phases);
+        let mut decisions = decisions.time_phases(time_phases);
         let outcome = 'run: {
-            let mut state = match self.initial_state() {
-                Ok(s) => s,
-                Err(e) => break 'run step_error_outcome(e),
+            let (mut state, mut fingerprint) = match from {
+                Some(saved) => {
+                    assert_eq!(
+                        decisions.steps(),
+                        saved.step(),
+                        "resumed with the wrong trace"
+                    );
+                    saved
+                        .state::<SavedState>()
+                        .expect("a state a model saved")
+                        .clone()
+                }
+                None => match self.initial_state() {
+                    Ok(s) => {
+                        let fingerprint = s.fingerprint();
+                        (s, fingerprint)
+                    }
+                    Err(e) => break 'run step_error_outcome(e),
+                },
             };
-            sink.visit(state.fingerprint());
+            sink.visit(fingerprint);
             loop {
                 let enabled = self.enabled_set(&state);
                 if enabled.is_empty() {
@@ -73,10 +114,12 @@ impl ControlledProgram for Model {
                         fallible: instr.is_some_and(Instr::is_fallible),
                     }
                 });
+                decisions.keep(|| (state.clone(), fingerprint));
                 if let Err(e) = self.step_in_place_faulted(&mut state, chosen, fault) {
                     break 'run step_error_outcome(e);
                 }
-                sink.visit(state.fingerprint());
+                fingerprint = state.fingerprint();
+                sink.visit(fingerprint);
             }
         };
         // The VM has no replay/race-detection machinery: everything that

@@ -3,7 +3,9 @@
 
 use std::fmt;
 
-use icb_core::{ControlledProgram, ExecutionResult, Scheduler, SearchObserver, StateSink};
+use icb_core::{
+    ControlledProgram, ExecutionResult, Resumable, Scheduler, SearchObserver, StateSink,
+};
 use icb_runtime::RuntimeProgram;
 use icb_statevm::Model;
 
@@ -49,6 +51,13 @@ impl ControlledProgram for AnyProgram {
         match self {
             AnyProgram::Runtime(p) => p.fingerprints_are_exact(),
             AnyProgram::Vm(m) => m.fingerprints_are_exact(),
+        }
+    }
+
+    fn resumable(&self) -> Option<&dyn Resumable> {
+        match self {
+            AnyProgram::Runtime(p) => p.resumable(),
+            AnyProgram::Vm(m) => m.resumable(),
         }
     }
 }
