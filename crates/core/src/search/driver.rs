@@ -437,18 +437,21 @@ pub(crate) fn drain<S: Explore>(
             if ledger.stop {
                 continue; // drain the remaining events until workers exit
             }
-            // ICB halts on the first bug at its level barrier instead.
-            let first_bug =
-                ledger.config.stop_on_first_bug && ledger.buggy_executions > 0 && !ledger.levelled;
-            let reason = if ledger.ckpt.is_some() && interrupt::interrupted() {
-                Some(AbortReason::Interrupted)
-            } else if first_bug {
-                Some(AbortReason::FirstBug)
-            } else if ledger.over_deadline() {
-                Some(AbortReason::Timeout)
-            } else {
-                None
-            };
+            let mut reason = stop_reason(ledger);
+            if reason.is_none()
+                && ledger
+                    .ckpt
+                    .as_deref()
+                    .is_some_and(|ck| ck.due(ledger.executions))
+            {
+                quiesce(&frontier, &rx, ledger, crew);
+                // The quiesce replayed events too: one may be a stop.
+                reason = stop_reason(ledger);
+                if reason.is_none() {
+                    save(s, ledger, &frontier.snapshot_queue());
+                    frontier.unpause();
+                }
+            }
             if let Some(reason) = reason {
                 if ledger.ckpt.is_some() {
                     // Bring every item home for the final snapshot.
@@ -457,18 +460,27 @@ pub(crate) fn drain<S: Explore>(
                 ledger.halt(reason);
                 stop.store(true, Ordering::SeqCst);
                 frontier.close();
-            } else if ledger
-                .ckpt
-                .as_deref()
-                .is_some_and(|ck| ck.due(ledger.executions))
-            {
-                quiesce(&frontier, &rx, ledger, crew);
-                save(s, ledger, &frontier.snapshot_queue());
-                frontier.unpause();
             }
         }
     });
     frontier.snapshot_queue()
+}
+
+/// Why the pump must stop the search after the events it has replayed
+/// so far, if it must.
+fn stop_reason(ledger: &Ledger<'_>) -> Option<AbortReason> {
+    // ICB halts on the first bug at its level barrier instead.
+    let first_bug =
+        ledger.config.stop_on_first_bug && ledger.buggy_executions > 0 && !ledger.levelled;
+    if ledger.ckpt.is_some() && interrupt::interrupted() {
+        Some(AbortReason::Interrupted)
+    } else if first_bug {
+        Some(AbortReason::FirstBug)
+    } else if ledger.over_deadline() {
+        Some(AbortReason::Timeout)
+    } else {
+        None
+    }
 }
 
 /// Runs a strategy without levels (DFS, `db:N`, random) to its end;

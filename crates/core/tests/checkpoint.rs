@@ -559,6 +559,34 @@ fn a_stopped_first_bug_search_resumes_to_the_same_report() {
     }
 }
 
+/// A checkpoint that falls due on the same pump tick as a bug must not
+/// hide the stop: the events its quiesce replays are checked for a stop
+/// reason like any others. Two workers make the order of the two vary
+/// from run to run, hence the many runs.
+#[test]
+fn a_first_bug_replayed_while_a_checkpoint_quiesces_still_stops_the_search() {
+    let program = Counters {
+        n: 3,
+        k: 3,
+        bug: Some((1, 1, 3)),
+    };
+    let dir = TempDir::new("quiesce-first-bug");
+    let live = dir.path("live.ck");
+    for run in 0..200 {
+        let report = Search::over(&program)
+            .strategy(Strategy::Dfs)
+            .config(SearchConfig::bug_hunt())
+            .jobs(2)
+            .checkpoint(Checkpointer::new(&live, 1))
+            .run()
+            .unwrap();
+        assert!(
+            !report.bugs.is_empty() && !report.completed,
+            "run {run}: {report}"
+        );
+    }
+}
+
 /// A checkpoint written mid-level after a bug was found, resumed by a
 /// canonical (`jobs ≥ 2`) ICB search, still finishes that level: the
 /// search stops at the level's barrier, as an uninterrupted one does.

@@ -10,12 +10,23 @@
 //! handoff; otherwise it hands the baton straight to the chosen task and
 //! parks. There is no controller thread: the caller of
 //! [`ControlledProgram::execute`](icb_core::ControlledProgram) makes the
-//! first decision, launches the root task, and parks at once until the
-//! execution ends or its watchdog deadline passes.
+//! first decision and, when no watchdog is set, runs the root task
+//! itself; it waits for the turn back only if the root exits before the
+//! last task does. With a watchdog the root runs on a pooled worker, and
+//! the caller parks at once until the execution ends or the deadline
+//! passes.
+//!
+//! A task's thread starts on its first turn. A spawn only stores the
+//! child's body; the handoff that first names the child dispatches it to
+//! a pooled worker, which finds the turn already its own. So the OS
+//! wake-ups of an execution are one per child's first run and one per
+//! handoff to a task that has run before, plus one for the caller if the
+//! root exits before the last task does.
 //!
 //! Aborts (assertion failure, data race, deadlock, step limit, a failing
 //! scheduler) unwind all parked tasks cooperatively via a private panic
-//! payload, so worker threads are always reclaimed.
+//! payload, and start every task that never had a turn so that it unwinds
+//! the same way; so worker threads are always reclaimed.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -83,19 +94,24 @@ const ALL: usize = usize::MAX - 1;
 ///   it can reach [`Execution::schedule`], and the caller sets `abort`
 ///   before it takes the host back;
 /// * the calling thread, the only one that can hold state they share
-///   with other values (an `Rc` clone, say), stays parked in `run` while
-///   a task uses them, and drops them itself.
+///   with other values (an `Rc` clone, say), touches them only as a baton
+///   holder of its own lent state: while it makes the first decision, and
+///   while it runs the root task. Whenever another task holds the baton,
+///   the calling thread is parked, and it drops them itself.
 ///
 /// So a decision runs on the deciding task's thread: a scheduler, sink
 /// or observer that keeps thread-local state sees that thread's.
 #[derive(Debug)]
 struct Baton {
     turn: AtomicUsize,
-    /// The thread of each participant that has parked: slot 0 is the
+    /// The thread of each participant that may park: slot 0 is the
     /// caller, slot `i + 1` task `i`. A handoff reads the slot under
-    /// this lock after storing the word, and a waiter fills its slot
-    /// under it before it first parks, so no wake-up is lost.
+    /// this lock after storing the word, and a participant fills its slot
+    /// under it before its first ready check, so no wake-up is lost.
     parked: StdMutex<Vec<Option<Thread>>>,
+    /// How many times a handoff or the abort broadcast unparked a thread.
+    #[cfg(test)]
+    unparks: AtomicUsize,
 }
 
 impl Baton {
@@ -103,6 +119,8 @@ impl Baton {
         Baton {
             turn: AtomicUsize::new(CALLER),
             parked: StdMutex::new(Vec::new()),
+            #[cfg(test)]
+            unparks: AtomicUsize::new(0),
         }
     }
 
@@ -124,45 +142,54 @@ impl Baton {
         }
     }
 
-    /// Gives the turn to `who`, waking its thread if it is parked.
+    fn unpark(&self, thread: &Thread) {
+        #[cfg(test)]
+        self.unparks.fetch_add(1, Ordering::Relaxed);
+        thread.unpark();
+    }
+
+    /// Records the calling thread as `who`'s, so that a handoff to `who`
+    /// wakes it. Must precede `who`'s first [`wait_for`](Baton::wait_for).
+    fn register(&self, who: Turn) {
+        let mut slots = self.slots();
+        let slot = Self::slot(who);
+        if slots.len() <= slot {
+            slots.resize(slot + 1, None);
+        }
+        slots[slot] = Some(std::thread::current());
+    }
+
+    /// Gives the turn to `who`, waking its thread if it has registered.
     fn hand_to(&self, who: Turn) {
         // Release pairs with the Acquire load in `wait_for`.
         self.turn.store(Self::word(who), Ordering::Release);
         if let Some(Some(thread)) = self.slots().get(Self::slot(who)) {
-            thread.unpark();
+            self.unpark(thread);
         }
     }
 
-    /// Gives the turn to every task at once and wakes each parked one.
+    /// Gives the turn to every task at once and wakes each registered
+    /// one.
     fn wake_all(&self) {
         self.turn.store(ALL, Ordering::Release);
         for thread in self.slots().iter().skip(1).flatten() {
-            thread.unpark();
+            self.unpark(thread);
         }
     }
 
     /// Parks until it is `who`'s turn (for a task, also after
     /// [`wake_all`](Baton::wake_all)). Returns `false` if `deadline`
-    /// passes first.
+    /// passes first. The calling thread must have
+    /// [`register`](Baton::register)ed as `who`.
     fn wait_for(&self, who: Turn, deadline: Option<Instant>) -> bool {
         let word = Self::word(who);
         let ready = || {
             let turn = self.turn.load(Ordering::Acquire);
             turn == word || (turn == ALL && who != Turn::Caller)
         };
-        if ready() {
-            return true;
-        }
-        {
-            let mut slots = self.slots();
-            let slot = Self::slot(who);
-            if slots.len() <= slot {
-                slots.resize(slot + 1, None);
-            }
-            slots[slot].get_or_insert_with(std::thread::current);
-        }
-        // A stale unpark (from an earlier execution on this pooled
-        // thread) only costs one more check.
+        // An unpark the thread did not park for (a handoff that came
+        // before its park, or one from an earlier execution on this
+        // pooled thread) only costs one more check.
         loop {
             if ready() {
                 return true;
@@ -216,7 +243,12 @@ pub(crate) enum EffectOut {
     Fault(bool),
 }
 
-#[derive(Debug)]
+/// A task's code, boxed for the thread that runs it.
+pub(crate) type Body = Box<dyn FnOnce() + Send + 'static>;
+
+/// A task whose thread is to be started, and its body.
+type ToStart = Option<(Tid, Body)>;
+
 struct TaskEntry {
     finished: bool,
     pending: Option<PendingOp>,
@@ -224,6 +256,31 @@ struct TaskEntry {
     /// (set by the deciding holder alongside the baton hand-over,
     /// consumed by [`apply_effect`]).
     fault: bool,
+    /// The body of a task that has not had a turn yet: the handoff that
+    /// first names the task takes it out to start the task's thread.
+    unstarted: Option<Body>,
+}
+
+impl TaskEntry {
+    fn new(unstarted: Option<Body>) -> Self {
+        TaskEntry {
+            finished: false,
+            pending: Some(PendingOp::Start),
+            fault: false,
+            unstarted,
+        }
+    }
+}
+
+impl fmt::Debug for TaskEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskEntry")
+            .field("finished", &self.finished)
+            .field("pending", &self.pending)
+            .field("fault", &self.fault)
+            .field("unstarted", &self.unstarted.is_some())
+            .finish()
+    }
 }
 
 /// What the caller of [`Execution::run`] lends the baton holder for one
@@ -239,9 +296,10 @@ struct Host<'s> {
 
 // SAFETY: `decisions` (with the scheduler it borrows), `sink` and
 // `observer` are used only by the baton holder, under the execution
-// mutex, within the caller's borrow, while the caller's thread is parked
-// (see `Baton`); no two threads ever use them at once. `scheduler_panic`
-// is `Send` already.
+// mutex, within the caller's borrow; the caller's thread uses them only
+// while it holds the baton itself, and is parked while any other thread
+// does (see `Baton`). No two threads ever use them at once.
+// `scheduler_panic` is `Send` already.
 unsafe impl Send for Host<'_> {}
 
 const LENT: &str = "only a baton holder inside `run` reaches the host";
@@ -334,6 +392,9 @@ pub(crate) struct Execution {
     inner: StdMutex<ExecInner>,
     baton: Baton,
     pub(crate) config: RuntimeConfig,
+    /// How many task bodies were dispatched to pooled workers.
+    #[cfg(test)]
+    dispatches: AtomicUsize,
 }
 
 thread_local! {
@@ -405,6 +466,8 @@ impl Execution {
             }),
             baton: Baton::new(),
             config,
+            #[cfg(test)]
+            dispatches: AtomicUsize::new(0),
         }
     }
 
@@ -413,20 +476,39 @@ impl Execution {
     }
 
     /// Marks the execution aborted and wakes every parked task, which
-    /// then unwinds; the last one to finish hands the turn back.
-    fn abort(&self, inner: &mut ExecInner) {
+    /// then unwinds; the last one to finish hands the turn back. A task
+    /// that never had a turn has no thread yet: its thread is started
+    /// here, so that it unwinds the same way and the drain ends.
+    fn abort(self: &Arc<Self>, inner: &mut ExecInner) {
         if !inner.abort {
             inner.abort = true;
             self.baton.wake_all();
+            for (i, task) in inner.tasks.iter_mut().enumerate() {
+                self.start(task.unstarted.take().map(|body| (Tid(i), body)));
+            }
+        }
+    }
+
+    /// Starts a task's thread on a pooled worker, if there is one to
+    /// start. Called after its first handoff, and outside the lock unless
+    /// the execution is aborted, so the worker finds the turn its own and
+    /// the lock free.
+    fn start(self: &Arc<Self>, task: ToStart) {
+        if let Some((tid, body)) = task {
+            #[cfg(test)]
+            self.dispatches.fetch_add(1, Ordering::Relaxed);
+            let exec = Arc::clone(self);
+            pool::run_on_worker(Box::new(move || task_main(exec, tid, body)));
         }
     }
 
     /// Runs one execution: lends the search state to the baton holders,
-    /// makes the first decision, launches the root task, and parks until
-    /// the last task hands the turn back or the watchdog expires.
+    /// makes the first decision, runs the root task (on this thread, or
+    /// with a watchdog on a worker), and parks until the last task hands
+    /// the turn back or the watchdog expires.
     pub(crate) fn run(
         self: &Arc<Self>,
-        body: Box<dyn FnOnce() + Send + 'static>,
+        body: Body,
         scheduler: &mut dyn Scheduler,
         sink: &mut dyn StateSink,
         observer: &mut dyn SearchObserver,
@@ -439,19 +521,24 @@ impl Execution {
             .max_wall_time
             .map(|budget| Instant::now() + budget);
         let decisions = Decisions::new(scheduler).time_phases(time_phases);
+        // The watchdog must be able to give up on a stuck root, so with a
+        // deadline the root starts on a worker like any other task.
+        let (root, unstarted) = match deadline {
+            None => (Some(body), None),
+            Some(_) => (None, Some(body)),
+        };
         let mut inner = self.lock();
-        inner.tasks.push(TaskEntry {
-            finished: false,
-            pending: Some(PendingOp::Start),
-            fault: false,
-        });
+        inner.tasks.push(TaskEntry::new(unstarted));
         inner.alive = 1;
         inner.time_phases = time_phases;
         inner.host = Some(Host::lend(decisions, sink, observer));
-        self.hand_on(&mut inner);
-        let exec = Arc::clone(self);
-        pool::run_on_worker(Box::new(move || task_main(exec, Tid::MAIN, body)));
+        let first = self.hand_on(&mut inner);
         drop(inner);
+        self.start(first);
+        if let Some(body) = root {
+            task_main(Arc::clone(self), Tid::MAIN, body);
+        }
+        self.baton.register(Turn::Caller);
         let on_time = self.baton.wait_for(Turn::Caller, deadline);
         let mut inner = self.lock();
         if !on_time && inner.alive > 0 {
@@ -508,7 +595,7 @@ impl Execution {
     /// enabled set, detect a deadlock, and record the scheduler's
     /// decision. Returns the task to run next, or `None` once the
     /// execution is aborted.
-    fn schedule(&self, inner: &mut ExecInner) -> Option<Tid> {
+    fn schedule(self: &Arc<Self>, inner: &mut ExecInner) -> Option<Tid> {
         inner.flush();
         if inner.host().decisions.steps() >= self.config.max_steps {
             inner
@@ -587,15 +674,30 @@ impl Execution {
         }
     }
 
+    /// Gives the turn to task `next`. On its first turn, also returns
+    /// its body, for the holder to [`start`](Execution::start) once it
+    /// has released the lock.
+    fn pass_to(&self, inner: &mut ExecInner, next: Tid) -> ToStart {
+        self.baton.hand_to(Turn::Task(next.index()));
+        inner.tasks[next.index()]
+            .unstarted
+            .take()
+            .map(|body| (next, body))
+    }
+
     /// Passes the baton on from a holder that will not run on (the
     /// caller before the root task starts, a task that just exited): to
     /// the task the scheduler picks, or, once no task is alive, back to
-    /// the caller.
-    fn hand_on(&self, inner: &mut ExecInner) {
+    /// the caller. Returns the task to start, as [`pass_to`] does.
+    ///
+    /// [`pass_to`]: Execution::pass_to
+    fn hand_on(self: &Arc<Self>, inner: &mut ExecInner) -> ToStart {
         if inner.alive == 0 {
             self.baton.hand_to(Turn::Caller);
-        } else if let Some(next) = self.schedule(inner) {
-            self.baton.hand_to(Turn::Task(next.index()));
+            None
+        } else {
+            let next = self.schedule(inner)?;
+            self.pass_to(inner, next)
         }
     }
 
@@ -603,7 +705,7 @@ impl Execution {
     /// scheduler picks another task, hands it the baton and parks until
     /// scheduled again. Then applies the operation's effect. Called by
     /// the running task.
-    pub(crate) fn sched_point(&self, tid: Tid, op: PendingOp) -> EffectOut {
+    pub(crate) fn sched_point(self: &Arc<Self>, tid: Tid, op: PendingOp) -> EffectOut {
         if std::thread::panicking() {
             // Unwinding (abort or user panic): synchronization effects no
             // longer matter; skip silently so Drop impls stay safe.
@@ -624,8 +726,9 @@ impl Execution {
         let mut inner = match self.schedule(&mut inner) {
             Some(next) if next == tid => inner,
             Some(next) => {
-                self.baton.hand_to(Turn::Task(next.index()));
+                let first = self.pass_to(&mut inner, next);
                 drop(inner);
+                self.start(first);
                 self.wait_turn(tid)
             }
             None => {
@@ -640,7 +743,9 @@ impl Execution {
         let fault = std::mem::take(&mut inner.tasks[tid.index()].fault);
         let out = apply_effect(&mut inner, tid, &op, fault);
         if is_exit {
-            self.hand_on(&mut inner);
+            let first = self.hand_on(&mut inner);
+            drop(inner);
+            self.start(first);
         }
         out
     }
@@ -657,9 +762,10 @@ impl Execution {
         inner
     }
 
-    /// Parks a freshly spawned task until its `Start` operation is
-    /// scheduled. The parent already installed the pending op.
-    fn park_initial(&self, tid: Tid) {
+    /// Applies a task's `Start` operation on its first turn. Its thread
+    /// starts only once the turn is its own (or the execution is
+    /// aborted), so this does not park.
+    fn first_turn(&self, tid: Tid) {
         let mut inner = self.wait_turn(tid);
         let op = inner.tasks[tid.index()]
             .pending
@@ -670,7 +776,7 @@ impl Execution {
     }
 
     /// Records a task's unwinding (user panic or abort).
-    fn handle_task_panic(&self, tid: Tid, payload: Box<dyn Any + Send>) {
+    fn handle_task_panic(self: &Arc<Self>, tid: Tid, payload: Box<dyn Any + Send>) {
         let mut inner = self.lock();
         if !is_abort(&*payload) {
             if inner.outcome.is_none() {
@@ -711,7 +817,7 @@ impl Execution {
 
     /// Checks (and in full-interleaving mode, schedules) a data-variable
     /// access by the running task.
-    pub(crate) fn data_access(&self, tid: Tid, var: usize, kind: AccessKind) {
+    pub(crate) fn data_access(self: &Arc<Self>, tid: Tid, var: usize, kind: AccessKind) {
         if self.config.preempt_data_vars {
             self.sched_point(tid, PendingOp::DataAccess { var });
         }
@@ -895,11 +1001,8 @@ fn apply_effect(inner: &mut ExecInner, tid: Tid, op: &PendingOp, fault: bool) ->
         PendingOp::DataAccess { .. } => {}
         PendingOp::Spawn => {
             let child = Tid(inner.tasks.len());
-            inner.tasks.push(TaskEntry {
-                finished: false,
-                pending: Some(PendingOp::Start),
-                fault: false,
-            });
+            // `spawn_task` stores the body once this step is over.
+            inner.tasks.push(TaskEntry::new(None));
             inner.alive += 1;
             inner.with_detector(|d| d.fork(tid, child));
             out = EffectOut::Spawned(child);
@@ -962,31 +1065,41 @@ fn apply_effect(inner: &mut ExecInner, tid: Tid, op: &PendingOp, fault: bool) ->
     out
 }
 
-/// The body every task runs on its worker thread.
-pub(crate) fn task_main(exec: Arc<Execution>, tid: Tid, body: Box<dyn FnOnce() + Send + 'static>) {
-    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&exec), tid)));
+/// The life of one task, on its worker thread (or, for the root task
+/// without a watchdog, on the caller's thread).
+pub(crate) fn task_main(exec: Arc<Execution>, tid: Tid, body: Body) {
+    let outer = CURRENT.with(|c| c.replace(Some((Arc::clone(&exec), tid))));
+    exec.baton.register(Turn::Task(tid.index()));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        exec.park_initial(tid);
+        exec.first_turn(tid);
         body();
         exec.sched_point(tid, PendingOp::Exit);
     }));
     if let Err(payload) = result {
         exec.handle_task_panic(tid, payload);
     }
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    CURRENT.with(|c| *c.borrow_mut() = outer);
 }
 
 /// Spawns a child task from the running task (used by
-/// [`crate::thread::spawn`]).
-pub(crate) fn spawn_task(body: Box<dyn FnOnce() + Send + 'static>) -> Tid {
+/// [`crate::thread::spawn`]). The child's thread starts on its first
+/// turn.
+pub(crate) fn spawn_task(body: Body) -> Tid {
     with_current(|exec, tid| {
-        let out = exec.sched_point(tid, PendingOp::Spawn);
-        let child = match out {
+        let child = match exec.sched_point(tid, PendingOp::Spawn) {
             EffectOut::Spawned(child) => child,
             _ => unreachable!("Spawn effect yields a child tid"),
         };
-        let exec = Arc::clone(exec);
-        pool::run_on_worker(Box::new(move || task_main(exec, child, body)));
+        let mut inner = exec.lock();
+        if inner.abort {
+            // The watchdog aborted the execution after the Spawn step, so
+            // no handoff will start the child: start it now, so that it
+            // unwinds and the caller's drain ends.
+            drop(inner);
+            exec.start(Some((child, body)));
+        } else {
+            inner.tasks[child.index()].unstarted = Some(body);
+        }
         child
     })
 }
@@ -994,6 +1107,7 @@ pub(crate) fn spawn_task(body: Box<dyn FnOnce() + Send + 'static>) -> Tid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icb_core::{NoopObserver, NullSink, ReplayScheduler, Schedule};
     use std::sync::mpsc;
 
     /// Runs `f` on its own thread; fails if it does not finish in time
@@ -1015,12 +1129,14 @@ mod tests {
             let peer = {
                 let baton = Arc::clone(&baton);
                 std::thread::spawn(move || {
+                    baton.register(Turn::Task(0));
                     for _ in 0..ROUNDS {
                         baton.wait_for(Turn::Task(0), None);
                         baton.hand_to(Turn::Caller);
                     }
                 })
             };
+            baton.register(Turn::Caller);
             for _ in 0..ROUNDS {
                 baton.hand_to(Turn::Task(0));
                 baton.wait_for(Turn::Caller, None);
@@ -1037,10 +1153,13 @@ mod tests {
             let waiters: Vec<_> = (0..WAITERS)
                 .map(|i| {
                     let baton = Arc::clone(&baton);
-                    std::thread::spawn(move || baton.wait_for(Turn::Task(i), None))
+                    std::thread::spawn(move || {
+                        baton.register(Turn::Task(i));
+                        baton.wait_for(Turn::Task(i), None)
+                    })
                 })
                 .collect();
-            // A waiter fills its slot right before it parks.
+            // A waiter fills its slot right before its first check.
             while baton.slots().iter().flatten().count() < WAITERS {
                 std::thread::yield_now();
             }
@@ -1049,8 +1168,52 @@ mod tests {
                 assert!(waiter.join().expect("waiter panicked"));
             }
             // The broadcast is for tasks: the caller still times out.
+            baton.register(Turn::Caller);
             let deadline = Instant::now() + Duration::from_millis(10);
             assert!(!baton.wait_for(Turn::Caller, Some(deadline)));
         });
+    }
+
+    /// Runs a root that spawns `k` children and joins them in order,
+    /// under the non-preemptive replay; returns the outcome, the
+    /// dispatches and the unparks.
+    fn spawn_and_join(k: usize) -> (ExecutionOutcome, usize, usize) {
+        let exec = Arc::new(Execution::new(RuntimeConfig::default()));
+        let result = exec.run(
+            Box::new(move || {
+                let children: Vec<_> = (0..k).map(|_| crate::thread::spawn(|| {})).collect();
+                for child in children {
+                    child.join();
+                }
+            }),
+            &mut ReplayScheduler::new(Schedule::new()),
+            &mut NullSink,
+            &mut NoopObserver,
+        );
+        (
+            result.outcome,
+            exec.dispatches.load(Ordering::Relaxed),
+            exec.baton.unparks.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn a_spawn_and_join_costs_one_dispatch_and_one_unpark_per_child() {
+        // The root runs on the caller and exits last, so neither is ever
+        // dispatched or woken. Each child is dispatched at its first turn
+        // (when the root blocks on joining it) and finds the turn its
+        // own; its exit unparks the root. Before tasks started on their
+        // first turn and the caller ran the root, the same run cost
+        // k + 1 dispatches and, depending on thread timing, up to 2k + 1
+        // unparks.
+        for k in 0..=4 {
+            within(Duration::from_secs(60), move || {
+                assert_eq!(
+                    spawn_and_join(k),
+                    (ExecutionOutcome::Terminated, k, k),
+                    "{k} children"
+                );
+            });
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! A tiny reusable worker-thread pool.
 //!
-//! Every task of every execution runs on an OS thread, and systematic
-//! searches perform tens of thousands of executions; spawning fresh
-//! threads each time would dominate the cost. Workers are parked in a
-//! process-global pool and handed one job (one task lifetime) at a time.
+//! Every child task of every execution runs on an OS thread (the root
+//! task runs on the caller's thread unless a watchdog is set), and
+//! systematic searches perform tens of thousands of executions; spawning
+//! fresh threads each time would dominate the cost. Workers are parked in
+//! a process-global pool and handed one job (one task lifetime) at a
+//! time. The engine dispatches a task's job only on the task's first
+//! turn, so each dispatch is the one wake-up that starts the task.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};

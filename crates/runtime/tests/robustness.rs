@@ -293,32 +293,35 @@ fn every_abort_cause_drains_eight_parked_tasks() {
             run_with_eight_parked(config, trigger)
         });
         assert!(check(&outcome), "{name}: unexpected outcome {outcome:?}");
-
-        // No task kept a lost wake-up and every worker came back: the
-        // next execution runs to completion.
-        let outcome = within(Duration::from_secs(30), name, || {
-            let program = RuntimeProgram::new(|| {
-                let count = Arc::new(Mutex::new(0u32));
-                let tasks: Vec<_> = (0..8)
-                    .map(|_| {
-                        let count = Arc::clone(&count);
-                        thread::spawn(move || *count.lock() += 1)
-                    })
-                    .collect();
-                for t in tasks {
-                    t.join();
-                }
-                assert_eq!(*count.lock(), 8);
-            });
-            let mut replay = ReplayScheduler::new(Schedule::new());
-            program.execute(&mut replay, &mut NullSink).outcome
-        });
-        assert_eq!(
-            outcome,
-            ExecutionOutcome::Terminated,
-            "{name}: the next execution did not complete"
-        );
+        assert_the_next_execution_completes(name);
     }
+}
+
+/// No task kept a lost wake-up and every worker came back: the next
+/// execution runs to completion.
+fn assert_the_next_execution_completes(name: &str) {
+    let outcome = within(Duration::from_secs(30), name, || {
+        let program = RuntimeProgram::new(|| {
+            let count = Arc::new(Mutex::new(0u32));
+            let tasks: Vec<_> = (0..8)
+                .map(|_| {
+                    let count = Arc::clone(&count);
+                    thread::spawn(move || *count.lock() += 1)
+                })
+                .collect();
+            for t in tasks {
+                t.join();
+            }
+            assert_eq!(*count.lock(), 8);
+        });
+        let mut replay = ReplayScheduler::new(Schedule::new());
+        program.execute(&mut replay, &mut NullSink).outcome
+    });
+    assert_eq!(
+        outcome,
+        ExecutionOutcome::Terminated,
+        "{name}: the next execution did not complete"
+    );
 }
 
 /// A user scheduler with a bug: it panics when asked for a fault
@@ -369,5 +372,145 @@ fn scheduler_failures_drain_the_parked_task() {
             dropped.load(Ordering::SeqCst),
             "disabled pick {disabled_pick}: the parked task was never drained"
         );
+    }
+}
+
+/// Runs a root that spawns eight children and then does `trigger`,
+/// under `scheduler`. Each child holds a [`SetOnDrop`] and, if it ever
+/// runs, marks that it ran and waits on an event that is never set.
+/// Returns the outcome (`None` if the scheduler's panic reached the
+/// caller), how many children's holds were dropped, and how many ran.
+fn spawn_eight_then(
+    config: RuntimeConfig,
+    scheduler: &mut dyn Scheduler,
+    trigger: fn(),
+) -> (Option<ExecutionOutcome>, usize, usize) {
+    let dropped: Arc<Vec<Arc<AtomicBool>>> =
+        Arc::new((0..8).map(|_| Arc::new(AtomicBool::new(false))).collect());
+    let ran = Arc::new(AtomicUsize::new(0));
+    let program = {
+        let (dropped, ran) = (Arc::clone(&dropped), Arc::clone(&ran));
+        RuntimeProgram::with_config(config, move || {
+            let gate = Arc::new(Event::manual_reset(false));
+            for flag in dropped.iter() {
+                let held = SetOnDrop(Arc::clone(flag));
+                let (gate, ran) = (Arc::clone(&gate), Arc::clone(&ran));
+                thread::spawn(move || {
+                    let _held = held;
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    gate.wait();
+                });
+            }
+            trigger();
+        })
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        program.execute(scheduler, &mut NullSink).outcome
+    }))
+    .ok();
+    let drops = dropped.iter().filter(|f| f.load(Ordering::SeqCst)).count();
+    (outcome, drops, ran.load(Ordering::SeqCst))
+}
+
+#[test]
+fn every_abort_cause_drops_the_bodies_of_unstarted_tasks() {
+    // A child's thread starts on its first turn, and the non-preemptive
+    // replay keeps the root running, so each cause strikes while the
+    // eight children have never run: the abort must start each one so
+    // that it drops its body and the drain ends. A deadlock is the
+    // exception: a child that never ran has its `Start` enabled, so here
+    // every child runs once and blocks before the deadlock.
+    type Case = (
+        &'static str,
+        RuntimeConfig,
+        bool,
+        fn(),
+        fn(&Option<ExecutionOutcome>) -> bool,
+    );
+    let cases: [Case; 5] = [
+        (
+            "task assertion",
+            RuntimeConfig::default(),
+            false,
+            || panic!("assertion in the main task"),
+            |o| matches!(o, Some(ExecutionOutcome::AssertionFailure { thread, .. }) if *thread == Tid::MAIN),
+        ),
+        (
+            "deadlock",
+            RuntimeConfig::default(),
+            false,
+            || Event::manual_reset(false).wait(),
+            |o| matches!(o, Some(ExecutionOutcome::Deadlock { blocked }) if blocked.len() == 9),
+        ),
+        (
+            "step limit",
+            RuntimeConfig {
+                max_steps: 50,
+                ..RuntimeConfig::default()
+            },
+            false,
+            || loop {
+                thread::yield_now();
+            },
+            |o| *o == Some(ExecutionOutcome::StepLimitExceeded),
+        ),
+        (
+            "scheduler panic at the first fault decision",
+            RuntimeConfig::default(),
+            true,
+            || {
+                icb_runtime::fail_point("io");
+            },
+            |o| o.is_none(),
+        ),
+        (
+            "watchdog expiry",
+            RuntimeConfig {
+                max_wall_time: Some(Duration::from_millis(200)),
+                ..RuntimeConfig::default()
+            },
+            false,
+            || std::thread::sleep(Duration::from_millis(1000)),
+            |o| *o == Some(ExecutionOutcome::WatchdogTimeout),
+        ),
+    ];
+    for (name, config, faulty, trigger, check) in cases {
+        let (outcome, drops, ran) = within(Duration::from_secs(30), name, move || {
+            let mut replay = ReplayScheduler::new(Schedule::new());
+            let mut failing = Faulty(false);
+            let scheduler: &mut dyn Scheduler = match faulty {
+                true => &mut failing,
+                false => &mut replay,
+            };
+            spawn_eight_then(config, scheduler, trigger)
+        });
+        assert!(check(&outcome), "{name}: unexpected outcome {outcome:?}");
+        assert_eq!(drops, 8, "{name}: a child's body was never dropped");
+        let expected_runs = if name == "deadlock" { 8 } else { 0 };
+        assert_eq!(ran, expected_runs, "{name}: children that ran");
+        assert_the_next_execution_completes(name);
+    }
+}
+
+#[test]
+fn the_root_task_runs_on_the_caller_unless_a_watchdog_is_set() {
+    for watchdog in [None, Some(Duration::from_secs(30))] {
+        let caller = std::thread::current().id();
+        let seen = Arc::new(std::sync::Mutex::new(None));
+        let program = {
+            let seen = Arc::clone(&seen);
+            let config = RuntimeConfig {
+                max_wall_time: watchdog,
+                ..RuntimeConfig::default()
+            };
+            RuntimeProgram::with_config(config, move || {
+                *seen.lock().unwrap() = Some(std::thread::current().id());
+            })
+        };
+        let mut replay = ReplayScheduler::new(Schedule::new());
+        let result = program.execute(&mut replay, &mut NullSink);
+        assert_eq!(result.outcome, ExecutionOutcome::Terminated);
+        let root = seen.lock().unwrap().expect("the root ran");
+        assert_eq!(root == caller, watchdog.is_none(), "watchdog {watchdog:?}");
     }
 }
